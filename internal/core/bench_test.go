@@ -39,9 +39,10 @@ func BenchmarkGeneratorParallel(b *testing.B) { benchGeneratorWorkers(b, 0.02, r
 
 // Paper-scale fill benchmarks: N_p = 599,257 particles mapped onto R = 8352
 // ranks (the largest configuration of §V), comparing the flat per-particle
-// fill against the cell-tiled fill with the mapper assignment hoisted out of
-// the timed region — these measure exactly the matrix-fill hot path whose
-// layout this knob selects. Speedup = PaperFill*Scalar / PaperFill*Tiled.
+// oracle fill (flatFill) against the generator's cell-tiled ghost fill with
+// the mapper assignment hoisted out of the timed region — these measure
+// exactly the matrix-fill hot path the tiling batches.
+// Speedup = PaperFill*Scalar / PaperFill*Tiled.
 // Run with: make bench-pipeline (writes BENCH_pipeline.json).
 const (
 	paperNp     = 599257
@@ -63,11 +64,11 @@ func paperCloud(np int) []geom.Vec3 {
 }
 
 func BenchmarkPaperFillBinScalar(b *testing.B) {
-	benchPaperFill(b, mapping.NewBinMapper(paperRanks, paperFilter), LayoutScalar)
+	benchPaperFill(b, mapping.NewBinMapper(paperRanks, paperFilter), true)
 }
 
 func BenchmarkPaperFillBinTiled(b *testing.B) {
-	benchPaperFill(b, mapping.NewBinMapper(paperRanks, paperFilter), LayoutTiled)
+	benchPaperFill(b, mapping.NewBinMapper(paperRanks, paperFilter), false)
 }
 
 func paperElementMapper(b *testing.B) *mapping.ElementMapper {
@@ -84,16 +85,19 @@ func paperElementMapper(b *testing.B) *mapping.ElementMapper {
 }
 
 func BenchmarkPaperFillElementScalar(b *testing.B) {
-	benchPaperFill(b, paperElementMapper(b), LayoutScalar)
+	benchPaperFill(b, paperElementMapper(b), true)
 }
 
 func BenchmarkPaperFillElementTiled(b *testing.B) {
-	benchPaperFill(b, paperElementMapper(b), LayoutTiled)
+	benchPaperFill(b, paperElementMapper(b), false)
 }
 
-func benchPaperFill(b *testing.B, mapper mapping.Mapper, layout Layout) {
+// benchPaperFill times one steady-state serial fill of the paper-scale
+// cloud: the flat oracle when flat is set, the generator's own fill
+// otherwise.
+func benchPaperFill(b *testing.B, mapper mapping.Mapper, flat bool) {
 	pos := paperCloud(paperNp)
-	g, err := NewGenerator(Config{Mapper: mapper, FilterRadius: paperFilter, Layout: layout})
+	g, err := NewGenerator(Config{Mapper: mapper, FilterRadius: paperFilter})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,17 +115,18 @@ func benchPaperFill(b *testing.B, mapper mapping.Mapper, layout Layout) {
 	comm := sparse.NewMatrix(ranks)
 	gcomp := make([]int64, ranks)
 	gcomm := sparse.NewMatrix(ranks)
-	fill := g.fillSerial
-	if g.tiled {
-		fill = g.fillTiledSerial
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(comp)
 		comm.Reset()
 		clear(gcomp)
 		gcomm.Reset()
-		if err := fill(pos, comp, comm, gcomp, gcomm); err != nil {
+		if flat {
+			err = flatFill(g.ghosts, paperFilter, g.cur, g.prev, pos, comp, comm, gcomp, gcomm)
+		} else {
+			err = g.fill(pos, 1, comp, comm, gcomp, gcomm)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

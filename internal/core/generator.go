@@ -15,25 +15,6 @@ import (
 	"picpredict/internal/trace"
 )
 
-// Layout selects the particle iteration layout of the per-frame matrix
-// fills. Every layout produces bit-identical workloads — counters are
-// integers and reductions run in a fixed order — so the choice is purely a
-// performance knob.
-type Layout int
-
-const (
-	// LayoutAuto (the default) picks the tiled fill whenever ghost queries
-	// are active — the layer whose per-particle spatial work the tiling
-	// amortises — and the flat fill otherwise, where tiling would only add
-	// the counting-sort cost.
-	LayoutAuto Layout = iota
-	// LayoutTiled always groups particles by grid cell before filling.
-	LayoutTiled
-	// LayoutScalar always iterates particles in index order — the
-	// reference path, kept for differential tests and benchmarks.
-	LayoutScalar
-)
-
 // Config is the Dynamic Workload Generator's configuration file (§II-A): the
 // system configuration (processor count, carried by the Mapper) plus the
 // application configuration relevant to workload synthesis.
@@ -41,22 +22,13 @@ type Config struct {
 	// Mapper is the particle mapping algorithm to mimic.
 	Mapper mapping.Mapper
 	// FilterRadius is the projection filter size; it controls ghost
-	// particle creation. Zero disables ghost workload generation.
+	// particle creation. Zero disables ghost workload generation. Ghost
+	// matrices are produced when the radius is positive and the Mapper
+	// implements mapping.ConcurrentGhostSource.
 	FilterRadius float64
-	// Ghosts answers ghost-rank queries. If nil, the Mapper is used when
-	// it implements mapping.GhostSource; otherwise ghost matrices are not
-	// produced even with a positive FilterRadius.
-	Ghosts mapping.GhostSource
 	// Workers sets the worker-goroutine count of the per-frame matrix
-	// fills (0 or 1 runs serially). Workloads are identical for any
-	// value; the parallel path needs the ghost source (when one is in
-	// play) to implement mapping.ConcurrentGhostSource and falls back to
-	// serial otherwise.
+	// fills (0 or 1 runs serially). Workloads are identical for any value.
 	Workers int
-	// Layout selects the fill iteration layout (see Layout); the zero
-	// value LayoutAuto tiles whenever ghosts are active. Workloads are
-	// identical for every layout.
-	Layout Layout
 }
 
 // Workload is the generator's output: computation and communication
@@ -96,59 +68,52 @@ type Workload struct {
 // with Frame, then call Finish. A Generator is single-use.
 type Generator struct {
 	cfg    Config
-	ghosts mapping.GhostSource
-	mig    mapping.MigrationSource // non-nil iff the mapper reports migrations
+	ghosts mapping.ConcurrentGhostSource // non-nil iff ghost matrices are produced
+	mig    mapping.MigrationSource       // non-nil iff the mapper reports migrations
 
 	wl       *Workload
 	prev     []int // rank of each particle in the previous frame
 	cur      []int
-	ghostBuf []int
 	frames   int
 	finished bool
 
-	// tiled-fill state
-	tiled      bool
-	tb         tile.Builder
-	tl         *tile.Tiling
-	tileGhosts mapping.TileGhostSource // TileSource(ghosts), cached
-	scratch    tileScratch             // serial tile scratch
+	tb      tile.Builder
+	scratch []tileScratch // per-worker tile scratch; [0] serves the serial fill
 
-	// parallel-fill state (workers > 1)
-	workers       int
-	ghostFanout   mapping.ConcurrentGhostSource // non-nil iff ghosts can fan out
-	partComp      [][]int64                     // per-worker real-comp partials
-	partGhost     [][]int64                     // per-worker ghost-comp partials
-	partComm      []*sparse.Matrix              // per-worker real-comm partials, pooled across frames
-	partGhostComm []*sparse.Matrix              // per-worker ghost-comm partials, pooled across frames
-	workScratch   []tileScratch                 // per-worker tile scratch
+	// parallel-fill state (Workers > 1)
+	partComp      [][]int64        // per-worker real-comp partials
+	partGhost     [][]int64        // per-worker ghost-comp partials
+	partComm      []*sparse.Matrix // per-worker real-comm partials, pooled across frames
+	partGhostComm []*sparse.Matrix // per-worker ghost-comm partials, pooled across frames
 	parErrs       []error
 
 	// observability (nil instruments when disabled; see SetObs)
-	obsOn        bool
-	fillSerialNs *obs.Histogram
-	fillParNs    *obs.Histogram
-	obsFrames    *obs.Counter
-	obsTiles     *obs.Counter
-	ghostQueries *obs.Counter
-	ghostCopies  *obs.Counter
-	obsMigElems  *obs.Counter
-	obsMigParts  *obs.Counter
-	obsEpochs    *obs.Counter
+	obsOn          bool
+	serialFillNs   *obs.Histogram
+	parallelFillNs *obs.Histogram
+	obsFrames      *obs.Counter
+	obsTiles       *obs.Counter
+	ghostQueries   *obs.Counter
+	ghostCopies    *obs.Counter
+	obsMigElems    *obs.Counter
+	obsMigParts    *obs.Counter
+	obsEpochs      *obs.Counter
 }
 
 // SetObs attaches an observability registry: per-frame fill latency lands
 // in core.fill_serial_ns / core.fill_parallel_ns (the two histograms are
 // the serial-vs-Workers speedup measurement), frame and ghost-query/copy
-// totals in core.* counters, and core.tiles counts the tiles the tiled
-// layout processed. Call before the first Frame; a nil registry leaves the
-// generator uninstrumented (the default).
+// totals in core.* counters, and core.tiles counts the cell tiles the fill
+// walked — ghost frames only, since ghost-less frames are not tiled. Call
+// before the first Frame; a nil registry leaves the generator
+// uninstrumented (the default).
 func (g *Generator) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	g.obsOn = true
-	g.fillSerialNs = reg.Histogram("core.fill_serial_ns")
-	g.fillParNs = reg.Histogram("core.fill_parallel_ns")
+	g.serialFillNs = reg.Histogram("core.fill_serial_ns")
+	g.parallelFillNs = reg.Histogram("core.fill_parallel_ns")
 	g.obsFrames = reg.Counter("core.frames")
 	g.obsTiles = reg.Counter("core.tiles")
 	g.ghostQueries = reg.Counter("core.ghost_queries")
@@ -169,20 +134,9 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.FilterRadius < 0 {
 		return nil, fmt.Errorf("core: negative filter radius %g", cfg.FilterRadius)
 	}
-	if cfg.Layout < LayoutAuto || cfg.Layout > LayoutScalar {
-		return nil, fmt.Errorf("core: unknown layout %d", cfg.Layout)
-	}
-	g := &Generator{cfg: cfg}
-	if cfg.FilterRadius > 0 {
-		if cfg.Ghosts != nil {
-			g.ghosts = cfg.Ghosts
-		} else if gs, ok := cfg.Mapper.(mapping.GhostSource); ok {
-			g.ghosts = gs
-		}
-	}
-	g.tiled = cfg.Layout == LayoutTiled || (cfg.Layout == LayoutAuto && g.ghosts != nil)
-	if g.ghosts != nil {
-		g.tileGhosts = mapping.TileSource(g.ghosts)
+	g := &Generator{cfg: cfg, scratch: make([]tileScratch, max(1, cfg.Workers))}
+	if gs, ok := cfg.Mapper.(mapping.ConcurrentGhostSource); ok && cfg.FilterRadius > 0 {
+		g.ghosts = gs
 	}
 	r := cfg.Mapper.Ranks()
 	g.wl = &Workload{
@@ -198,18 +152,6 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		g.mig = ms
 		g.wl.MigElemComm = sparse.NewSeries(r)
 		g.wl.MigPartComm = sparse.NewSeries(r)
-	}
-	if cfg.Workers > 1 {
-		g.workers = cfg.Workers
-		if g.ghosts != nil {
-			fanout, ok := g.ghosts.(mapping.ConcurrentGhostSource)
-			if !ok {
-				// Ghost queries cannot fan out; fall back to serial.
-				g.workers = 0
-			} else {
-				g.ghostFanout = fanout
-			}
-		}
 	}
 	return g, nil
 }
@@ -262,36 +204,25 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 		}
 	}
 
-	parallel := g.workers > 1 && len(pos) >= 4*g.workers
+	workers := 1
+	if w := g.cfg.Workers; w > 1 && len(pos) >= 4*w {
+		workers = w
+	}
 	var t0 time.Time
 	if g.obsOn {
 		t0 = time.Now() //lint:allow determinism wall-clock fill timing for the obs layer; workload contents never depend on it
 	}
-	var err error
-	switch {
-	case g.tiled && parallel:
-		err = g.fillTiledParallel(pos, comp, comm, gcomp, gcomm)
-	case g.tiled:
-		err = g.fillTiledSerial(pos, comp, comm, gcomp, gcomm)
-	case parallel:
-		err = g.fillParallel(pos, comp, comm, gcomp, gcomm)
-	default:
-		err = g.fillSerial(pos, comp, comm, gcomp, gcomm)
-	}
-	if err != nil {
+	if err := g.fill(pos, workers, comp, comm, gcomp, gcomm); err != nil {
 		return fmt.Errorf("core: frame %d: %w", g.frames, err)
 	}
 	if g.obsOn {
 		ns := time.Since(t0).Nanoseconds()
-		if parallel {
-			g.fillParNs.Observe(ns)
+		if workers > 1 {
+			g.parallelFillNs.Observe(ns)
 		} else {
-			g.fillSerialNs.Observe(ns)
+			g.serialFillNs.Observe(ns)
 		}
 		g.obsFrames.Inc()
-		if g.tiled && g.tl != nil {
-			g.obsTiles.Add(int64(g.tl.NumTiles()))
-		}
 		if g.ghosts != nil {
 			// One ghost query per particle per frame; the copies actually
 			// materialised are this frame's ghost-comp row sum.
@@ -309,36 +240,144 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 	return nil
 }
 
-// fillSerial fills this frame's slice of the workload matrices in one pass.
-func (g *Generator) fillSerial(pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
-	// Computation load (real particles).
-	for _, r := range g.cur {
-		comp[r]++
+// fill fills this frame's slice of the workload matrices. The frame's work
+// units are cut into one contiguous range per worker: the serial case fills
+// its single range straight into the frame matrices, while workers > 1 fill
+// private partial matrices that are then reduced in worker order. Every
+// counter is an integer, so the workload is identical for any worker count.
+//
+// Ghost frames group the particles into cell tiles and run fillTileRange,
+// which answers each tile's ghost query in one batched call — the
+// per-particle spatial work the tiling amortises. Ghost-less frames have
+// no spatial work to share, so they run fillIndexRange over the particles
+// in index order instead of paying for the counting sort.
+func (g *Generator) fill(pos []geom.Vec3, workers int, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
+	withComm := g.frames > 0
+	var tl *tile.Tiling
+	units := len(pos)
+	if g.ghosts != nil {
+		tl = g.buildTiling(pos)
+		units = tl.NumTiles()
+		g.obsTiles.Add(int64(units))
+	}
+	body := func(lo, hi int, src mapping.GhostSource, scr *tileScratch, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
+		if tl == nil {
+			return g.fillIndexRange(lo, hi, comp, comm, withComm)
+		}
+		return g.fillTileRange(tl, lo, hi, pos, src, scr, comp, comm, gcomp, gcomm, withComm)
+	}
+	if workers == 1 {
+		return body(0, units, g.ghosts, &g.scratch[0], comp, comm, gcomp, gcomm)
 	}
 
-	// Communication load (real particles): R_p changed between intervals.
-	if g.frames > 0 {
-		for i, r := range g.cur {
-			if p := g.prev[i]; p != r {
-				if err := comm.Add(p, r, 1); err != nil {
-					return err
-				}
+	g.ensureParallelState()
+	var ranges [][2]int
+	var views []mapping.GhostSource
+	if tl != nil {
+		ranges = tl.Ranges(workers)
+		views = g.ghosts.GhostViews(workers)
+	}
+	errs := g.parErrs
+	clear(errs)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lo, hi := units*w/workers, units*(w+1)/workers
+			if ranges != nil {
+				lo, hi = ranges[w][0], ranges[w][1]
+			}
+			pc, pm := g.partComp[w], g.partComm[w]
+			clear(pc)
+			pm.Reset()
+			var pg []int64
+			var pgm *sparse.Matrix
+			var src mapping.GhostSource
+			if views != nil {
+				pg, pgm, src = g.partGhost[w], g.partGhostComm[w], views[w]
+				clear(pg)
+				pgm.Reset()
+			}
+			errs[w] = body(lo, hi, src, &g.scratch[w], pc, pm, pg, pgm)
+		}(w)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return g.reducePartials(comp, comm, gcomp, gcomm, withComm)
+}
+
+// ensureParallelState allocates the per-worker partial matrices once;
+// partial sparse matrices are pooled and Reset per frame, so steady-state
+// frames allocate nothing here.
+func (g *Generator) ensureParallelState() {
+	if g.partComp != nil {
+		return
+	}
+	workers := g.cfg.Workers
+	ranks := g.wl.Ranks
+	g.partComp = make([][]int64, workers)
+	g.partComm = make([]*sparse.Matrix, workers)
+	for w := range g.partComp {
+		g.partComp[w] = make([]int64, ranks)
+		g.partComm[w] = sparse.NewMatrix(ranks)
+	}
+	if g.ghosts != nil {
+		g.partGhost = make([][]int64, workers)
+		g.partGhostComm = make([]*sparse.Matrix, workers)
+		for w := range g.partGhost {
+			g.partGhost[w] = make([]int64, ranks)
+			g.partGhostComm[w] = sparse.NewMatrix(ranks)
+		}
+	}
+	g.parErrs = make([]error, workers)
+}
+
+// reducePartials folds the per-worker partials into the frame matrices in
+// fixed worker order. Integer sums: the order cannot change the result,
+// it only makes runs reproducible instrumentation-wise.
+func (g *Generator) reducePartials(comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix, withComm bool) error {
+	for w := range g.partComp {
+		for i, v := range g.partComp[w] {
+			comp[i] += v
+		}
+		if withComm {
+			if err := g.partComm[w].AddInto(comm); err != nil {
+				return err
+			}
+		}
+		if g.ghosts != nil {
+			for i, v := range g.partGhost[w] {
+				gcomp[i] += v
+			}
+			if err := g.partGhostComm[w].AddInto(gcomm); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
+}
 
-	// Ghost workload: per frame, every particle materialises a ghost on
-	// each foreign rank its projection filter touches; the ghost copy is
-	// particle data sent home→ghost this interval.
-	if g.ghosts != nil {
-		for i, p := range pos {
-			home := g.cur[i]
-			g.ghostBuf = g.ghosts.GhostRanks(g.ghostBuf[:0], p, g.cfg.FilterRadius, home)
-			for _, r := range g.ghostBuf {
-				gcomp[r]++
-				if err := gcomm.Add(home, r, 1); err != nil {
-					return err
-				}
+// fillIndexRange is the ghost-less fill body: particles [lo, hi) in index
+// order add to their rank's comp row and, after the first frame, each
+// particle whose rank changed adds one (previous, current) comm entry.
+func (g *Generator) fillIndexRange(lo, hi int, comp []int64, comm *sparse.Matrix, withComm bool) error {
+	cur := g.cur[lo:hi]
+	for _, r := range cur {
+		comp[r]++
+	}
+	if !withComm {
+		return nil
+	}
+	prev := g.prev[lo:hi]
+	for i, r := range cur {
+		if p := prev[i]; p != r {
+			if err := comm.Add(p, r, 1); err != nil {
+				return err
 			}
 		}
 	}
@@ -355,8 +394,7 @@ const tileCellRadii = 2.0
 // capped at the particle count so the CSR header and counting sort stay
 // linear in the frame size.
 func (g *Generator) buildTiling(pos []geom.Vec3) *tile.Tiling {
-	g.tl = g.tb.Build(pos, tileCellRadii*g.cfg.FilterRadius, len(pos)+1)
-	return g.tl
+	return g.tb.Build(pos, tileCellRadii*g.cfg.FilterRadius, len(pos)+1)
 }
 
 // pairTally accumulates one tile's (src, dst) → count pairs in parallel
@@ -410,7 +448,7 @@ type tileScratch struct {
 // the per-particle rank sets into the ghost row and copy pairs. All updates
 // are integer adds, so any tile partition produces the results of the flat
 // per-particle loop bit-for-bit.
-func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, src mapping.TileGhostSource, scr *tileScratch,
+func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, src mapping.GhostSource, scr *tileScratch,
 	comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix, withComm bool) error {
 	radius := g.cfg.FilterRadius
 	for t := t0; t < t1; t++ {
@@ -437,216 +475,27 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 				return err
 			}
 		}
-		if src != nil {
-			scr.flat, scr.offs = src.GhostRanksTile(scr.flat[:0], scr.offs[:0], ids, pos, g.cur, radius)
-			prev := 0
-			for j, i := range ids {
-				end := int(scr.offs[j])
-				home := g.cur[i]
-				for _, r := range scr.flat[prev:end] {
-					gcomp[r]++
-					scr.ghostPairs.add(home, r)
-				}
-				prev = end
-				if len(scr.ghostPairs.src) >= pairTallyFlushAt {
-					if err := scr.ghostPairs.flush(gcomm); err != nil {
-						return err
-					}
+		scr.flat, scr.offs = src.GhostRanksTile(scr.flat[:0], scr.offs[:0], ids, pos, g.cur, radius)
+		prev := 0
+		for j, i := range ids {
+			end := int(scr.offs[j])
+			home := g.cur[i]
+			for _, r := range scr.flat[prev:end] {
+				gcomp[r]++
+				scr.ghostPairs.add(home, r)
+			}
+			prev = end
+			if len(scr.ghostPairs.src) >= pairTallyFlushAt {
+				if err := scr.ghostPairs.flush(gcomm); err != nil {
+					return err
 				}
 			}
-			if err := scr.ghostPairs.flush(gcomm); err != nil {
-				return err
-			}
 		}
-	}
-	return nil
-}
-
-// fillTiledSerial is fillSerial on the tiled layout: one goroutine, tiles
-// in ascending cell order, particles in ascending index order within each
-// tile.
-func (g *Generator) fillTiledSerial(pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
-	tl := g.buildTiling(pos)
-	var src mapping.TileGhostSource
-	if g.ghosts != nil {
-		src = g.tileGhosts
-	}
-	return g.fillTileRange(tl, 0, tl.NumTiles(), pos, src, &g.scratch, comp, comm, gcomp, gcomm, g.frames > 0)
-}
-
-// ensureParallelState allocates the per-worker partial matrices and
-// scratch once; partial sparse matrices are pooled and Reset per frame, so
-// steady-state frames allocate nothing here.
-func (g *Generator) ensureParallelState() {
-	if g.partComp != nil {
-		return
-	}
-	workers := g.workers
-	ranks := g.wl.Ranks
-	g.partComp = make([][]int64, workers)
-	g.partComm = make([]*sparse.Matrix, workers)
-	for w := range g.partComp {
-		g.partComp[w] = make([]int64, ranks)
-		g.partComm[w] = sparse.NewMatrix(ranks)
-	}
-	if g.ghosts != nil {
-		g.partGhost = make([][]int64, workers)
-		g.partGhostComm = make([]*sparse.Matrix, workers)
-		for w := range g.partGhost {
-			g.partGhost[w] = make([]int64, ranks)
-			g.partGhostComm[w] = sparse.NewMatrix(ranks)
-		}
-	}
-	g.workScratch = make([]tileScratch, workers)
-	g.parErrs = make([]error, workers)
-}
-
-// reducePartials folds the per-worker partials into the frame matrices in
-// fixed worker order. Integer sums: the order cannot change the result,
-// it only makes runs reproducible instrumentation-wise.
-func (g *Generator) reducePartials(comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix, withComm bool) error {
-	for w := 0; w < g.workers; w++ {
-		for i, v := range g.partComp[w] {
-			comp[i] += v
-		}
-		if withComm {
-			if err := g.partComm[w].AddInto(comm); err != nil {
-				return err
-			}
-		}
-		if g.ghosts != nil {
-			for i, v := range g.partGhost[w] {
-				gcomp[i] += v
-			}
-			if err := g.partGhostComm[w].AddInto(gcomm); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// fillParallel shards the particle range across worker goroutines, each
-// filling private partial matrices, then reduces the partials serially. All
-// counters are integers, so the result is identical to fillSerial for any
-// worker count. The mapper assignment (g.cur/g.prev) and, when ghosts are
-// active, the fan-out views' shared frame state are read-only during the
-// fan-out.
-func (g *Generator) fillParallel(pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
-	workers := g.workers
-	g.ensureParallelState()
-	var views []mapping.GhostSource
-	if g.ghosts != nil {
-		views = g.ghostFanout.GhostViews(workers)
-	}
-
-	errs := g.parErrs
-	clear(errs)
-	firstFrame := g.frames == 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo := len(pos) * w / workers
-			hi := len(pos) * (w + 1) / workers
-
-			pc := g.partComp[w]
-			clear(pc)
-			for _, r := range g.cur[lo:hi] {
-				pc[r]++
-			}
-
-			if !firstFrame {
-				pm := g.partComm[w]
-				pm.Reset()
-				for i := lo; i < hi; i++ {
-					if p, c := g.prev[i], g.cur[i]; p != c {
-						if err := pm.Add(p, c, 1); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}
-			}
-
-			if g.ghosts != nil {
-				pg := g.partGhost[w]
-				clear(pg)
-				pgm := g.partGhostComm[w]
-				pgm.Reset()
-				view := views[w]
-				var buf []int
-				for i := lo; i < hi; i++ {
-					home := g.cur[i]
-					buf = view.GhostRanks(buf[:0], pos[i], g.cfg.FilterRadius, home)
-					for _, r := range buf {
-						pg[r]++
-						if err := pgm.Add(home, r, 1); err != nil {
-							errs[w] = err
-							return
-						}
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+		if err := scr.ghostPairs.flush(gcomm); err != nil {
 			return err
 		}
 	}
-	return g.reducePartials(comp, comm, gcomp, gcomm, !firstFrame)
-}
-
-// fillTiledParallel shards contiguous tile ranges (balanced by particle
-// count) across worker goroutines, each running the tiled fill into private
-// partial matrices, then reduces the partials serially in worker order —
-// identical results to every other fill path.
-func (g *Generator) fillTiledParallel(pos []geom.Vec3, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
-	workers := g.workers
-	g.ensureParallelState()
-	tl := g.buildTiling(pos)
-	var views []mapping.GhostSource
-	if g.ghosts != nil {
-		views = g.ghostFanout.GhostViews(workers)
-	}
-	ranges := tl.Ranges(workers)
-
-	errs := g.parErrs
-	clear(errs)
-	firstFrame := g.frames == 0
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pc := g.partComp[w]
-			clear(pc)
-			pm := g.partComm[w]
-			pm.Reset()
-			var pg []int64
-			var pgm *sparse.Matrix
-			var src mapping.TileGhostSource
-			if g.ghosts != nil {
-				pg = g.partGhost[w]
-				clear(pg)
-				pgm = g.partGhostComm[w]
-				pgm.Reset()
-				src = mapping.TileSource(views[w])
-			}
-			errs[w] = g.fillTileRange(tl, ranges[w][0], ranges[w][1], pos, src, &g.workScratch[w],
-				pc, pm, pg, pgm, !firstFrame)
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return g.reducePartials(comp, comm, gcomp, gcomm, !firstFrame)
+	return nil
 }
 
 // Finish finalises and returns the workload. Frame may not be called again.

@@ -40,7 +40,10 @@ const (
 )
 
 // MaxRanks and MaxWorkloadFrames bound the header fields a reader accepts,
-// so a corrupt or hostile header cannot force absurd allocations.
+// so a corrupt or hostile header cannot force absurd allocations. MaxRanks
+// is also the rank cap of every workload build (pipeline.MapperSpec.Build,
+// sweep grids, picserve requests): each rank costs one int64 per frame in
+// every matrix, so a request cannot size those past what a reader accepts.
 const (
 	MaxRanks          = 1 << 22
 	MaxWorkloadFrames = 1 << 24

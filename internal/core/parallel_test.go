@@ -105,48 +105,6 @@ func TestGeneratorParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// serialOnlyGhosts wraps a ghost source so it does NOT implement
-// ConcurrentGhostSource, forcing the fallback.
-type serialOnlyGhosts struct{ gs mapping.GhostSource }
-
-func (s serialOnlyGhosts) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
-	return s.gs.GhostRanks(dst, pos, radius, home)
-}
-
-// TestGeneratorParallelFallback: a ghost source without fan-out support must
-// silently run serially (and still produce the right workload).
-func TestGeneratorParallelFallback(t *testing.T) {
-	iters, pos := clusteredFrames(3, 400, 3)
-	bm := mapping.NewBinMapper(8, 0.05)
-	want, err := RunFrames(Config{Mapper: bm, FilterRadius: 0.04}, iters, pos, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bm2 := mapping.NewBinMapper(8, 0.05)
-	g, err := NewGenerator(Config{
-		Mapper:       bm2,
-		FilterRadius: 0.04,
-		Ghosts:       serialOnlyGhosts{gs: bm2},
-		Workers:      4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.workers != 0 {
-		t.Errorf("generator kept workers=%d with a serial-only ghost source", g.workers)
-	}
-	for k, it := range iters {
-		if err := g.Frame(it, pos[k*400:(k+1)*400]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := g.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualWorkloads(t, want, got)
-}
-
 // TestGeneratorParallelSmallFrame: frames below the fan-out threshold take
 // the serial path without changing the result.
 func TestGeneratorParallelSmallFrame(t *testing.T) {

@@ -8,11 +8,13 @@ import (
 	"picpredict/internal/geom"
 	"picpredict/internal/mapping"
 	"picpredict/internal/mesh"
+	"picpredict/internal/obs"
 )
 
 // tiledTestMappers returns fresh-mapper factories for both ghost-capable
-// mappers; every generator gets its own mapper so no per-frame state leaks
-// between the runs being compared.
+// mappers and for hilbert, which answers no ghost queries and so runs the
+// index-order body at any radius; every generator gets its own mapper so no
+// per-frame state leaks between the runs being compared.
 func tiledTestMappers(t *testing.T) map[string]func() mapping.Mapper {
 	t.Helper()
 	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1)), 8, 8, 1, 3)
@@ -26,14 +28,15 @@ func tiledTestMappers(t *testing.T) map[string]func() mapping.Mapper {
 	return map[string]func() mapping.Mapper{
 		"element": func() mapping.Mapper { return mapping.NewElementMapper(m, d) },
 		"bin":     func() mapping.Mapper { return mapping.NewBinMapper(8, 0.05) },
+		"hilbert": func() mapping.Mapper { return mapping.NewHilbertMapper(m, 8) },
 	}
 }
 
-// runLayout feeds the frames through a generator with the given layout and
-// worker count and returns the workload.
-func runLayout(t *testing.T, mapper mapping.Mapper, radius float64, layout Layout, workers int, iters []int, pos []geom.Vec3, np int) *Workload {
+// runFill feeds the frames through a generator with the given worker count
+// and returns the workload.
+func runFill(t *testing.T, mapper mapping.Mapper, radius float64, workers int, iters []int, pos []geom.Vec3, np int) *Workload {
 	t.Helper()
-	g, err := NewGenerator(Config{Mapper: mapper, FilterRadius: radius, Workers: workers, Layout: layout})
+	g, err := NewGenerator(Config{Mapper: mapper, FilterRadius: radius, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,33 +52,34 @@ func runLayout(t *testing.T, mapper mapping.Mapper, radius float64, layout Layou
 	return wl
 }
 
-// TestFillLayoutsBitIdentical is the tiled layout's correctness contract:
-// scalar, parallel, tiled and tiled-parallel fills produce bit-identical
-// workloads for both ghost-capable mappers, with and without ghosts. The
-// scalar serial fill is the reference; everything else must match it
-// exactly (integer counters, ordered reductions).
+// TestFillLayoutsBitIdentical is the fill's correctness contract: for every
+// test mapper, with and without ghosts, and at every worker count, the
+// generator reproduces the flat per-particle oracle exactly (integer
+// counters, ordered reductions).
 func TestFillLayoutsBitIdentical(t *testing.T) {
 	const np = 500
 	iters, pos := clusteredFrames(5, np, 29)
+	// The labels are kept as stable test IDs; only the worker count
+	// distinguishes cases, since the generator picks its body from the
+	// frame (tiled when ghost queries are on, index order otherwise).
 	variants := []struct {
 		name    string
-		layout  Layout
 		workers int
 	}{
-		{"tiled-serial", LayoutTiled, 0},
-		{"tiled-parallel-2", LayoutTiled, 2},
-		{"tiled-parallel-3", LayoutTiled, 3},
-		{"tiled-parallel-8", LayoutTiled, 8},
-		{"scalar-parallel-3", LayoutScalar, 3},
-		{"auto-serial", LayoutAuto, 0},
-		{"auto-parallel-3", LayoutAuto, 3},
+		{"tiled-serial", 0},
+		{"tiled-parallel-2", 2},
+		{"tiled-parallel-3", 3},
+		{"tiled-parallel-8", 8},
+		{"scalar-parallel-3", 3},
+		{"auto-serial", 0},
+		{"auto-parallel-3", 3},
 	}
 	for name, mk := range tiledTestMappers(t) {
 		for _, radius := range []float64{0, 0.04} {
-			ref := runLayout(t, mk(), radius, LayoutScalar, 0, iters, pos, np)
+			ref := oracleWorkload(t, mk(), radius, iters, pos, np)
 			for _, v := range variants {
 				t.Run(fmt.Sprintf("%s/r=%g/%s", name, radius, v.name), func(t *testing.T) {
-					got := runLayout(t, mk(), radius, v.layout, v.workers, iters, pos, np)
+					got := runFill(t, mk(), radius, v.workers, iters, pos, np)
 					requireEqualWorkloads(t, ref, got)
 				})
 			}
@@ -83,7 +87,7 @@ func TestFillLayoutsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFillLayoutsEdgeFrames covers the degenerate frames every layout must
+// TestFillLayoutsEdgeFrames covers the degenerate frames every fill must
 // agree on: zero particles, more workers than particles, and a zero filter
 // radius (ghost generation disabled).
 func TestFillLayoutsEdgeFrames(t *testing.T) {
@@ -91,14 +95,14 @@ func TestFillLayoutsEdgeFrames(t *testing.T) {
 
 	t.Run("zero-particles", func(t *testing.T) {
 		for name, mk := range mappers {
-			for _, layout := range []Layout{LayoutScalar, LayoutTiled, LayoutAuto} {
-				g, err := NewGenerator(Config{Mapper: mk(), FilterRadius: 0.04, Workers: 4, Layout: layout})
+			for _, workers := range []int{0, 4} {
+				g, err := NewGenerator(Config{Mapper: mk(), FilterRadius: 0.04, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				for f := 0; f < 3; f++ {
 					if err := g.Frame(f, nil); err != nil {
-						t.Fatalf("%s layout %d: empty frame %d: %v", name, layout, f, err)
+						t.Fatalf("%s workers %d: empty frame %d: %v", name, workers, f, err)
 					}
 				}
 				wl, err := g.Finish()
@@ -106,7 +110,7 @@ func TestFillLayoutsEdgeFrames(t *testing.T) {
 					t.Fatal(err)
 				}
 				if wl.NumParticles != 0 || wl.RealComp.Frames() != 3 {
-					t.Fatalf("%s layout %d: got %d particles, %d frames", name, layout, wl.NumParticles, wl.RealComp.Frames())
+					t.Fatalf("%s workers %d: got %d particles, %d frames", name, workers, wl.NumParticles, wl.RealComp.Frames())
 				}
 			}
 		}
@@ -116,13 +120,14 @@ func TestFillLayoutsEdgeFrames(t *testing.T) {
 		const np = 3
 		iters, pos := clusteredFrames(4, np, 7)
 		for name, mk := range mappers {
-			ref := runLayout(t, mk(), 0.04, LayoutScalar, 0, iters, pos, np)
+			ref := oracleWorkload(t, mk(), 0.04, iters, pos, np)
+			// Labels are stable test IDs, as in TestFillLayoutsBitIdentical.
 			for _, v := range []struct {
-				layout  Layout
+				label   string
 				workers int
-			}{{LayoutTiled, 8}, {LayoutScalar, 8}, {LayoutAuto, 16}} {
-				got := runLayout(t, mk(), 0.04, v.layout, v.workers, iters, pos, np)
-				t.Run(fmt.Sprintf("%s/layout=%d/w=%d", name, v.layout, v.workers), func(t *testing.T) {
+			}{{"layout=1", 8}, {"layout=2", 8}, {"layout=0", 16}} {
+				got := runFill(t, mk(), 0.04, v.workers, iters, pos, np)
+				t.Run(fmt.Sprintf("%s/%s/w=%d", name, v.label, v.workers), func(t *testing.T) {
 					requireEqualWorkloads(t, ref, got)
 				})
 			}
@@ -133,16 +138,16 @@ func TestFillLayoutsEdgeFrames(t *testing.T) {
 		const np = 200
 		iters, pos := clusteredFrames(3, np, 13)
 		for name, mk := range mappers {
-			ref := runLayout(t, mk(), 0, LayoutScalar, 0, iters, pos, np)
-			got := runLayout(t, mk(), 0, LayoutTiled, 3, iters, pos, np)
+			ref := oracleWorkload(t, mk(), 0, iters, pos, np)
+			got := runFill(t, mk(), 0, 3, iters, pos, np)
 			t.Run(name, func(t *testing.T) { requireEqualWorkloads(t, ref, got) })
 		}
 	})
 }
 
-// TestFillLayoutsRandomised fuzzes the layout equivalence over random
-// cloud shapes, sizes and radii: whatever the frame looks like, every
-// layout must reproduce the scalar fill bit-for-bit.
+// TestFillLayoutsRandomised fuzzes the fill over random cloud shapes,
+// sizes, radii and worker counts: whatever the frame looks like, the
+// generator must reproduce the flat oracle bit-for-bit.
 func TestFillLayoutsRandomised(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	mappers := tiledTestMappers(t)
@@ -153,14 +158,56 @@ func TestFillLayoutsRandomised(t *testing.T) {
 		workers := 1 + rng.Intn(6)
 		iters, pos := clusteredFrames(frames, np, rng.Int63())
 		for name, mk := range mappers {
-			ref := runLayout(t, mk(), radius, LayoutScalar, 0, iters, pos, np)
-			got := runLayout(t, mk(), radius, LayoutTiled, workers, iters, pos, np)
+			ref := oracleWorkload(t, mk(), radius, iters, pos, np)
+			got := runFill(t, mk(), radius, workers, iters, pos, np)
 			if t.Failed() {
 				break
 			}
 			t.Run(fmt.Sprintf("trial%d/%s/np=%d/r=%g/w=%d", trial, name, np, radius, workers), func(t *testing.T) {
 				requireEqualWorkloads(t, ref, got)
 			})
+		}
+	}
+}
+
+// TestFillCountsTilesOnGhostFramesOnly pins the body choice the generator
+// reports: ghost frames are tiled (core.tiles > 0, one ghost query per
+// particle) and ghost-less frames walk index order (no tiles, no queries),
+// with the same counts at any worker count.
+func TestFillCountsTilesOnGhostFramesOnly(t *testing.T) {
+	const np, frames = 300, 3
+	iters, pos := clusteredFrames(frames, np, 5)
+	for name, mk := range tiledTestMappers(t) {
+		for _, radius := range []float64{0, 0.04} {
+			ghosts := radius > 0 && name != "hilbert"
+			var tiles []int64
+			for _, workers := range []int{0, 3} {
+				reg := obs.New()
+				g, err := NewGenerator(Config{Mapper: mk(), FilterRadius: radius, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.SetObs(reg)
+				for k, it := range iters {
+					if err := g.Frame(it, pos[k*np:(k+1)*np]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				n := reg.Counter("core.tiles").Value()
+				queries := reg.Counter("core.ghost_queries").Value()
+				wantQueries := int64(0)
+				if ghosts {
+					wantQueries = frames * np
+				}
+				if (n > 0) != ghosts || queries != wantQueries {
+					t.Errorf("%s r=%g workers=%d: %d tiles, %d ghost queries; ghosts=%v wants tiles iff ghosts and %d queries",
+						name, radius, workers, n, queries, ghosts, wantQueries)
+				}
+				tiles = append(tiles, n)
+			}
+			if tiles[0] != tiles[1] {
+				t.Errorf("%s r=%g: serial counted %d tiles, parallel %d", name, radius, tiles[0], tiles[1])
+			}
 		}
 	}
 }

@@ -242,7 +242,7 @@ func (dm *DynamicMapper) GhostRanks(dst []int, pos geom.Vec3, radius float64, ho
 	return dm.ownersQuery().Ranks(dst, pos, radius, home)
 }
 
-// GhostRanksTile implements TileGhostSource over the current decomposition.
+// GhostRanksTile implements GhostSource over the current decomposition.
 func (dm *DynamicMapper) GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
 	return dm.ownersQuery().RanksTile(flat, offs, ids, pos, home, radius)
 }
@@ -272,7 +272,6 @@ func (dm *DynamicMapper) GhostViews(n int) []GhostSource {
 var (
 	_ Mapper                = (*DynamicMapper)(nil)
 	_ ConcurrentGhostSource = (*DynamicMapper)(nil)
-	_ TileGhostSource       = (*DynamicMapper)(nil)
 	_ MigrationSource       = (*DynamicMapper)(nil)
 	_ RebalanceStats        = (*DynamicMapper)(nil)
 )

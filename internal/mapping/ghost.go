@@ -16,6 +16,20 @@ type GhostSource interface {
 	// rank home to dst and returns the extended slice (no duplicates,
 	// home excluded).
 	GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int
+
+	// GhostRanksTile answers the ghost query for a whole tile of spatially
+	// adjacent particles in one batched call. Implementations hoist the
+	// spatial candidate scan (grid cells or bins, grouped by rank) out of
+	// the per-particle loop, so one intersection setup serves every
+	// particle in the tile.
+	//
+	// For each particle index ids[j] in order, it appends that particle's
+	// ghost ranks (the same *set* GhostRanks would return for pos[ids[j]]
+	// with home[ids[j]] — order within the set is unspecified) to flat and
+	// appends the new len(flat) to offs, so particle ids[j]'s ranks are
+	// flat[offs[j-1]:offs[j]], reading offs[-1] as len(flat) at entry.
+	// Callers normally pass flat[:0], offs[:0] per tile.
+	GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32)
 }
 
 // ConcurrentGhostSource is a GhostSource whose per-frame ghost queries can
@@ -33,49 +47,6 @@ type ConcurrentGhostSource interface {
 	GhostViews(n int) []GhostSource
 }
 
-// TileGhostSource is a GhostSource that can additionally answer the ghost
-// query for a whole tile of spatially adjacent particles in one batched
-// call. Implementations hoist the spatial candidate scan (grid cells or
-// bins, grouped by rank) out of the per-particle loop, so one intersection
-// setup serves every particle in the tile.
-//
-// Contract: for each particle index ids[j] in order, GhostRanksTile appends
-// that particle's ghost ranks (the same *set* GhostRanks would return for
-// pos[ids[j]] with home[ids[j]] — order within the set is unspecified) to
-// flat and appends the new len(flat) to offs, so particle ids[j]'s ranks
-// are flat[offs[j-1]:offs[j]], reading offs[-1] as len(flat) at entry.
-// Callers normally pass flat[:0], offs[:0] per tile.
-type TileGhostSource interface {
-	GhostSource
-	GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32)
-}
-
-// TileSource adapts gs to the batched tile interface: native
-// implementations are returned unchanged, anything else gets a fallback
-// adapter answering one GhostRanks call per tile particle — identical
-// answers, none of the batching win.
-func TileSource(gs GhostSource) TileGhostSource {
-	if ts, ok := gs.(TileGhostSource); ok {
-		return ts
-	}
-	return perParticleTiles{gs: gs}
-}
-
-// perParticleTiles is TileSource's per-particle fallback adapter.
-type perParticleTiles struct{ gs GhostSource }
-
-func (a perParticleTiles) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
-	return a.gs.GhostRanks(dst, pos, radius, home)
-}
-
-func (a perParticleTiles) GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
-	for _, i := range ids {
-		flat = a.gs.GhostRanks(flat, pos[i], radius, home[i])
-		offs = append(offs, int32(len(flat)))
-	}
-	return flat, offs
-}
-
 // GhostRanks implements GhostSource for element-based mapping: ghost ranks
 // are the owners of the spectral elements the filter ball touches. The
 // query object is created lazily on first use.
@@ -83,7 +54,7 @@ func (em *ElementMapper) GhostRanks(dst []int, pos geom.Vec3, radius float64, ho
 	return em.ownersQuery().Ranks(dst, pos, radius, home)
 }
 
-// GhostRanksTile implements TileGhostSource for element-based mapping via
+// GhostRanksTile implements GhostSource for element-based mapping via
 // mesh.SphereOwners.RanksTile: the candidate elements of the tile's search
 // window are gathered and rank-grouped once, then each particle runs an
 // early-exit per-rank membership test.
@@ -139,7 +110,7 @@ func (bm *BinMapper) GhostRanks(dst []int, pos geom.Vec3, radius float64, home i
 	return bm.ownBinView().GhostRanks(dst, pos, radius, home)
 }
 
-// GhostRanksTile implements TileGhostSource for bin-based mapping: the
+// GhostRanksTile implements GhostSource for bin-based mapping: the
 // candidate bins of the tile's search window are deduplicated and
 // rank-grouped once, then each particle runs an early-exit per-rank
 // intersection test against that rank's bins.
@@ -226,7 +197,7 @@ func (v *binGhostView) GhostRanks(dst []int, pos geom.Vec3, radius float64, home
 	return dst
 }
 
-// GhostRanksTile implements the TileGhostSource contract against the
+// GhostRanksTile implements the GhostSource tile contract against the
 // mapper's current bins: per-particle rank sets are identical to
 // GhostRanks — same candidate visibility (bucket-window overlap), same
 // exact intersection test — with the bucket scan, deduplication and rank
@@ -348,8 +319,4 @@ func containsRank(rs []int, r int) bool {
 var (
 	_ ConcurrentGhostSource = (*ElementMapper)(nil)
 	_ ConcurrentGhostSource = (*BinMapper)(nil)
-	_ TileGhostSource       = (*ElementMapper)(nil)
-	_ TileGhostSource       = (*BinMapper)(nil)
-	_ TileGhostSource       = sphereGhostView{}
-	_ TileGhostSource       = (*binGhostView)(nil)
 )

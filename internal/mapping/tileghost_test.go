@@ -17,7 +17,7 @@ func sortedCopy(s []int) []int {
 
 // ghostSetsViaTile runs one GhostRanksTile call over all particles and
 // splits the flat result back into per-particle sets.
-func ghostSetsViaTile(src TileGhostSource, pos []geom.Vec3, home []int, radius float64) [][]int {
+func ghostSetsViaTile(src GhostSource, pos []geom.Vec3, home []int, radius float64) [][]int {
 	ids := make([]int32, len(pos))
 	for i := range ids {
 		ids[i] = int32(i)
@@ -33,9 +33,9 @@ func ghostSetsViaTile(src TileGhostSource, pos []geom.Vec3, home []int, radius f
 	return out
 }
 
-// TestGhostRanksTileMatchesScalar checks the TileGhostSource contract on
-// both native implementations and on the per-particle fallback adapter:
-// per-particle rank sets must equal the scalar GhostRanks sets exactly.
+// TestGhostRanksTileMatchesScalar checks the GhostSource tile contract on
+// both implementations: per-particle rank sets must equal the scalar
+// GhostRanks sets exactly.
 func TestGhostRanksTileMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1)), 10, 10, 1, 2)
@@ -60,7 +60,7 @@ func TestGhostRanksTileMatchesScalar(t *testing.T) {
 		}
 		radius := []float64{0, 0.02, 0.06}[trial%3]
 
-		sources := map[string]TileGhostSource{
+		sources := map[string]GhostSource{
 			"element": NewElementMapper(m, d),
 		}
 		bm := NewBinMapper(12, 0.03)
@@ -69,9 +69,6 @@ func TestGhostRanksTileMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		sources["bin"] = bm
-		// The fallback adapter wraps a GhostSource hidden behind a plain
-		// interface so TileSource cannot find the native tile path.
-		sources["adapter"] = TileSource(plainGhostSource{gs: bm})
 
 		for name, src := range sources {
 			homes := home
@@ -97,14 +94,6 @@ func TestGhostRanksTileMatchesScalar(t *testing.T) {
 			}
 		}
 	}
-}
-
-// plainGhostSource hides a tile-capable source behind the minimal
-// interface, forcing TileSource to install the fallback adapter.
-type plainGhostSource struct{ gs GhostSource }
-
-func (p plainGhostSource) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
-	return p.gs.GhostRanks(dst, pos, radius, home)
 }
 
 // TestBinGhostRanksNoAllocs pins the map→slice dedup rewrite of the scalar

@@ -14,9 +14,8 @@ import (
 
 // BenchmarkStreamConcurrent measures end-to-end frame throughput through the
 // concurrent streaming pipeline with the workload generator as the sink —
-// the frames/sec number of BENCH_pipeline.json. The Scalar/Tiled pair
-// isolates what the cell-tiled fill layout buys once streaming overhead,
-// mapping and sparse-matrix bookkeeping are all in the loop.
+// the frames/sec number of BENCH_pipeline.json, with streaming overhead,
+// mapping, ghost queries and sparse-matrix bookkeeping all in the loop.
 // Run with: make bench-pipeline.
 const (
 	benchStreamNp     = 120000
@@ -46,17 +45,13 @@ func benchStreamSource() *pipeline.SliceSource {
 	return src
 }
 
-func BenchmarkStreamConcurrentScalar(b *testing.B) { benchStreamConcurrent(b, core.LayoutScalar) }
-func BenchmarkStreamConcurrentTiled(b *testing.B)  { benchStreamConcurrent(b, core.LayoutTiled) }
-
-func benchStreamConcurrent(b *testing.B, layout core.Layout) {
+func BenchmarkStreamConcurrent(b *testing.B) {
 	src := benchStreamSource()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen, err := core.NewGenerator(core.Config{
 			Mapper:       mapping.NewBinMapper(benchStreamRanks, benchStreamFilter),
 			FilterRadius: benchStreamFilter,
-			Layout:       layout,
 		})
 		if err != nil {
 			b.Fatal(err)

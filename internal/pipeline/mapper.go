@@ -48,6 +48,9 @@ func (ms MapperSpec) Build() (mapping.Mapper, *mapping.BinMapper, error) {
 	if ms.Ranks <= 0 {
 		return nil, nil, fmt.Errorf("pipeline: Ranks must be positive, got %d", ms.Ranks)
 	}
+	if ms.Ranks > core.MaxRanks {
+		return nil, nil, fmt.Errorf("pipeline: rank count %d exceeds the %d limit", ms.Ranks, core.MaxRanks)
+	}
 	spec, err := rebalance.ParseSpec(ms.Rebalance)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pipeline: %w", err)

@@ -10,6 +10,7 @@ import (
 
 	"picpredict"
 	"picpredict/internal/cli"
+	"picpredict/internal/core"
 	"picpredict/internal/obs"
 )
 
@@ -292,6 +293,9 @@ func (s *Server) predictTrace(ctx context.Context, req *PredictRequest, kind pic
 	for _, r := range req.Ranks {
 		if r <= 0 {
 			return nil, http.StatusBadRequest, fmt.Errorf("rank count %d is not positive", r)
+		}
+		if r > core.MaxRanks {
+			return nil, http.StatusBadRequest, fmt.Errorf("rank count %d exceeds the %d limit", r, core.MaxRanks)
 		}
 	}
 	mapping, err := picpredict.ParseMappingKind(req.Mapping)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"picpredict"
+	"picpredict/internal/core"
 	"picpredict/internal/obs"
 )
 
@@ -440,5 +441,34 @@ func TestDrainingRejectsNewWork(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining readyz got %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestPredictRejectsRanksPastCap: a rank count past core.MaxRanks — the cap
+// the workload reader and sweep grids share — is a 400 naming the limit,
+// answered before any model is resolved. Unchecked, a bin-mapped 2^30-rank
+// body would size every computation-matrix frame at 8 GiB.
+func TestPredictRejectsRanksPastCap(t *testing.T) {
+	s, st := newTestServer(t, Config{Workers: 2, SweepWorkers: 2, Obs: obs.New()}, 0)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	limit := fmt.Sprintf("exceeds the %d limit", core.MaxRanks)
+	for _, body := range []string{
+		`{"ranks":[1073741824],"mapping":"bin","model":{"fast":true,"seed":3}}`,
+		fmt.Sprintf(`{"ranks":[8,%d],"model":{"fast":true,"seed":3}}`, core.MaxRanks+1),
+	} {
+		status, raw := postPredict(t, ts.URL, body)
+		if status != http.StatusBadRequest || !strings.Contains(string(raw), limit) {
+			t.Errorf("predict %s: %d (%s), want 400 containing %q", body, status, raw, limit)
+		}
+	}
+	status, raw := postOptimize(t, ts.URL, `{"ranks":"8,1073741824","model":{"fast":true,"seed":3}}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), limit) {
+		t.Errorf("optimize: %d (%s), want 400 containing %q", status, raw, limit)
+	}
+	key := Fingerprint(testCRC, picpredict.ModelSynthetic, picpredict.TrainOptions{Fast: true, Seed: 3})
+	if n := st.count(key); n != 0 {
+		t.Errorf("rejected requests trained %d model sets, want 0", n)
 	}
 }

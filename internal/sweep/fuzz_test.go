@@ -3,6 +3,8 @@ package sweep
 import (
 	"errors"
 	"testing"
+
+	"picpredict/internal/core"
 )
 
 // FuzzSweepSpec drives the grid-spec parser with arbitrary input: every
@@ -49,7 +51,7 @@ func FuzzSweepSpec(f *testing.F) {
 		}
 		seen := make(map[int]bool, len(ranks))
 		for _, r := range ranks {
-			if r <= 0 || r > maxRankValue {
+			if r <= 0 || r > core.MaxRanks {
 				t.Fatalf("ParseRanks(%q): out-of-bounds rank count %d", spec, r)
 			}
 			if seen[r] {

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"picpredict/internal/core"
 )
 
 // ErrSpec is the sentinel every grid-spec and grid-validation error wraps;
@@ -24,9 +26,6 @@ const (
 	// maxSpecRanks bounds how many rank counts one spec may expand to —
 	// a fuzz-resistant cap: "1-1000000:+1" must fail fast, not allocate.
 	maxSpecRanks = 4096
-	// maxRankValue bounds a single rank count (16Mi ranks prices well past
-	// any machine in the paper's scope and keeps R×T intermediates small).
-	maxRankValue = 1 << 24
 	// maxSpecLen bounds the raw spec string before parsing.
 	maxSpecLen = 4096
 )
@@ -131,10 +130,10 @@ func parseStep(step string) (mul, add int, err error) {
 		return 0, 0, fmt.Errorf("%w: step %q (want xK or +K)", ErrSpec, step)
 	}
 	k, kerr := strconv.Atoi(step[1:])
-	if kerr == nil && k > maxRankValue {
+	if kerr == nil && k > core.MaxRanks {
 		// Bounding the step alongside the values keeps cur*mul+add far from
-		// integer overflow (≤ 2^48 + 2^24 on 64-bit int).
-		return 0, 0, fmt.Errorf("%w: step %q exceeds the %d limit", ErrSpec, step, maxRankValue)
+		// integer overflow (≤ 2^44 + 2^22 on 64-bit int).
+		return 0, 0, fmt.Errorf("%w: step %q exceeds the %d limit", ErrSpec, step, core.MaxRanks)
 	}
 	switch step[0] {
 	case 'x':
@@ -162,8 +161,8 @@ func parseRankValue(s string) (int, error) {
 	if v <= 0 {
 		return 0, fmt.Errorf("%w: rank count %d is not positive", ErrSpec, v)
 	}
-	if v > maxRankValue {
-		return 0, fmt.Errorf("%w: rank count %d exceeds the %d limit", ErrSpec, v, maxRankValue)
+	if v > core.MaxRanks {
+		return 0, fmt.Errorf("%w: rank count %d exceeds the %d limit", ErrSpec, v, core.MaxRanks)
 	}
 	return v, nil
 }

@@ -54,11 +54,11 @@ func TestParseRanksErrors(t *testing.T) {
 		{"8-64:x1", "needs an integer factor ≥ 2"},
 		{"8-64:+0", "needs a positive integer"},
 		{"8-64:+", `step "+" (want xK or +K)`},
-		{"1-100000000:+1", "exceeds the 16777216 limit"},
+		{"1-100000000:+1", "exceeds the 4194304 limit"},
 		{"1-1000000:+1", "more than 4096 rank counts"},
-		{"99999999999", "exceeds the 16777216 limit"},
-		{"90000000", "exceeds the 16777216 limit"},
-		{"8-64:x99999999", "exceeds the 16777216 limit"},
+		{"99999999999", "exceeds the 4194304 limit"},
+		{"90000000", "exceeds the 4194304 limit"},
+		{"8-64:x99999999", "exceeds the 4194304 limit"},
 		{strings.Repeat("8,", 3000), "longer than 4096 bytes"},
 	}
 	for _, c := range cases {

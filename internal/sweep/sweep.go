@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"picpredict"
+	"picpredict/internal/core"
 	"picpredict/internal/obs"
 	"picpredict/internal/rebalance"
 )
@@ -44,8 +45,8 @@ func (g Grid) normalize() (Grid, error) {
 		if r <= 0 {
 			return Grid{}, fmt.Errorf("%w: rank count %d is not positive", ErrSpec, r)
 		}
-		if r > maxRankValue {
-			return Grid{}, fmt.Errorf("%w: rank count %d exceeds the %d limit", ErrSpec, r, maxRankValue)
+		if r > core.MaxRanks {
+			return Grid{}, fmt.Errorf("%w: rank count %d exceeds the %d limit", ErrSpec, r, core.MaxRanks)
 		}
 		if !seenR[r] {
 			seenR[r] = true
