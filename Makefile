@@ -33,7 +33,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-pipeline regenerates BENCH_pipeline.json: paper-scale fill (scalar
-# vs tiled), StreamConcurrent frames/sec, and fused-run wall time. Use
+# vs tiled), StreamConcurrent frames/sec, fused-run wall time, BSP replay
+# time per prediction, sweep configs/s and the rebalance policies. Use
 # BENCHTIME=1x for a quick smoke pass.
 bench-pipeline:
 	./scripts/pipeline_bench.sh

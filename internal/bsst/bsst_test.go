@@ -115,27 +115,43 @@ func TestIterTimeIncreasesWithLoad(t *testing.T) {
 	}
 }
 
+// The event engine and the BSP recurrence agree on the cluster fixture
+// (workload 0) and on every workload of the oracle property test: compute
+// and busy time bit for bit (one shared helper fills both), wall and
+// migration to rounding (the event engine works on absolute clock times).
 func TestSimulateEngineMatchesBSP(t *testing.T) {
 	p := trainedPlatform(t)
-	wl := clusterWorkload(t, 8)
-	ev, err := p.Simulate(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsp, err := p.SimulateBSP(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ev.IntervalWall) != len(bsp.IntervalWall) {
-		t.Fatalf("interval counts differ: %d vs %d", len(ev.IntervalWall), len(bsp.IntervalWall))
-	}
-	for k := range ev.IntervalWall {
-		if math.Abs(ev.IntervalWall[k]-bsp.IntervalWall[k]) > 1e-12*(1+bsp.IntervalWall[k]) {
-			t.Errorf("interval %d: event %v vs BSP %v", k, ev.IntervalWall[k], bsp.IntervalWall[k])
+	wls := append([]*core.Workload{clusterWorkload(t, 8)}, propertyWorkloads(150)...)
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(b)) }
+	for i, wl := range wls {
+		ev, err := p.Simulate(wl)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if math.Abs(ev.Total-bsp.Total) > 1e-9*bsp.Total {
-		t.Errorf("totals differ: %v vs %v", ev.Total, bsp.Total)
+		bsp, err := p.SimulateBSP(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ev.IntervalWall) != len(bsp.IntervalWall) || len(ev.Migration) != len(bsp.Migration) {
+			t.Fatalf("workload %d: interval counts differ: %d/%d vs %d/%d", i,
+				len(ev.IntervalWall), len(ev.Migration), len(bsp.IntervalWall), len(bsp.Migration))
+		}
+		for k := range ev.IntervalWall {
+			if !near(ev.IntervalWall[k], bsp.IntervalWall[k]) {
+				t.Errorf("workload %d interval %d: event %v vs BSP %v", i, k, ev.IntervalWall[k], bsp.IntervalWall[k])
+			}
+		}
+		for k := range ev.Migration {
+			if !near(ev.Migration[k], bsp.Migration[k]) {
+				t.Errorf("workload %d interval %d: event migration %v vs BSP %v", i, k, ev.Migration[k], bsp.Migration[k])
+			}
+		}
+		if !sameBits(ev.Compute, bsp.Compute) || !sameBits(ev.RankBusy, bsp.RankBusy) {
+			t.Errorf("workload %d: compute or busy time differs between engines", i)
+		}
+		if math.Abs(ev.Total-bsp.Total) > 1e-9*bsp.Total {
+			t.Errorf("workload %d: totals differ: %v vs %v", i, ev.Total, bsp.Total)
+		}
 	}
 }
 

@@ -5,15 +5,17 @@ import (
 	"fmt"
 	"time"
 
-	"picpredict/internal/obs"
-
 	"picpredict/internal/core"
+	"picpredict/internal/obs"
+	"picpredict/internal/sparse"
 )
 
 // simMetrics carries the engines' per-interval instruments; nil when the
 // platform has no registry attached.
 type simMetrics struct {
 	intervals  *obs.Counter
+	cells      *obs.Counter   // rank-intervals replayed
+	iterEvals  *obs.Counter   // IterTime evaluations (memo misses)
 	simNs      *obs.Histogram // predicted (simulated) interval wall, in ns
 	wallNs     *obs.Histogram // simulator's own per-interval compute cost
 	migNs      *obs.Histogram // predicted rebalance-migration cost per run
@@ -27,6 +29,8 @@ func (p *Platform) simMetrics() *simMetrics {
 	}
 	return &simMetrics{
 		intervals: p.Obs.Counter("bsst.intervals"),
+		cells:     p.Obs.Counter(obs.BsstRankIntervals),
+		iterEvals: p.Obs.Counter(obs.BsstIterEvals),
 		simNs:     p.Obs.Histogram("bsst.interval_sim_ns"),
 		wallNs:    p.Obs.Histogram("bsst.interval_wall_ns"),
 		migNs:     p.Obs.Histogram(obs.RebalanceMigrationNs),
@@ -53,6 +57,16 @@ func (m *simMetrics) end(simulatedSec float64) {
 	m.wallNs.Observe(time.Since(m.intervalT0).Nanoseconds())
 }
 
+// replay records one completed replay: its rank-intervals and the IterTime
+// evaluations its memo made.
+func (m *simMetrics) replay(cells, iterEvals int64) {
+	if m == nil {
+		return
+	}
+	m.cells.Add(cells)
+	m.iterEvals.Add(iterEvals)
+}
+
 // migration records one run's total predicted rebalance-migration cost and
 // the modeled wire bytes behind it.
 func (m *simMetrics) migration(totalSec, bytes float64) {
@@ -61,6 +75,81 @@ func (m *simMetrics) migration(totalSec, bytes float64) {
 	}
 	m.migNs.Observe(int64(totalSec * 1e9))
 	m.migBytes.Add(int64(bytes))
+}
+
+// iterKey is one rank-interval's (real, ghost) particle counts.
+type iterKey struct{ np, ngp int64 }
+
+// iterMemo evaluates IterTime once per distinct (np, ngp) pair of one
+// replay. A replay fixes the platform and R, so IterTime is a pure function
+// of the pair and a memoized value has the bits a fresh evaluation would
+// have. A clustered bed leaves most ranks on a few pairs, idle (0, 0) most
+// of all, which gets a field of its own instead of a map lookup. The memo
+// lives for one call, so concurrent replays share nothing to invalidate.
+type iterMemo struct {
+	p       *Platform
+	ranks   int
+	idle    float64 // IterTime(0, 0), valid once idleSet
+	idleSet bool
+	times   map[iterKey]float64
+	evals   int64 // IterTime evaluations: the memo's misses
+}
+
+func newIterMemo(p *Platform, ranks int) *iterMemo {
+	return &iterMemo{p: p, ranks: ranks, times: make(map[iterKey]float64)}
+}
+
+// iterTime is IterTime(np, ngp, R), evaluated on the pair's first use.
+// Errors are not memoized: the replay ends at the first one.
+func (c *iterMemo) iterTime(np, ngp int64) (float64, error) {
+	idle := np == 0 && ngp == 0
+	if idle && c.idleSet {
+		return c.idle, nil
+	}
+	key := iterKey{np, ngp}
+	if t, ok := c.times[key]; ok {
+		return t, nil
+	}
+	t, err := c.p.IterTime(np, ngp, c.ranks)
+	if err != nil {
+		return 0, err
+	}
+	c.evals++
+	if idle {
+		c.idle, c.idleSet = t, true
+	} else {
+		c.times[key] = t
+	}
+	return t, nil
+}
+
+// frame fills compute[r] with rank r's compute time over interval k
+// (SampleEvery iterations of IterTime), adds it to busy[r], and returns the
+// interval's largest compute time. Both engines take their per-rank compute
+// from here, in rank order, so an error names the same rank in either.
+func (c *iterMemo) frame(wl *core.Workload, k, sampleEvery int, compute, busy []float64) (float64, error) {
+	reals := wl.RealComp.Frame(k)
+	var ghosts []int64
+	if wl.GhostComp != nil {
+		ghosts = wl.GhostComp.Frame(k)
+	}
+	var maxCompute float64
+	for r := range compute {
+		var ngp int64
+		if ghosts != nil {
+			ngp = ghosts[r]
+		}
+		it, err := c.iterTime(reals[r], ngp)
+		if err != nil {
+			return 0, err
+		}
+		compute[r] = float64(sampleEvery) * it
+		busy[r] += compute[r]
+		if compute[r] > maxCompute {
+			maxCompute = compute[r]
+		}
+	}
+	return maxCompute, nil
 }
 
 // migEntry is one (src,dst) rebalance transfer of an interval: the element
@@ -158,9 +247,11 @@ func (p *Platform) Simulate(wl *core.Workload) (*Prediction, error) {
 	}
 	pred := &Prediction{Ranks: ranks, RankBusy: make([]float64, ranks)}
 	m := p.simMetrics()
+	memo := newIterMemo(p, ranks)
 	pointsPerElem := p.N * p.N * p.N
 	var migScratch []migEntry
 	migBytes := 0.0
+	compute := make([]float64, ranks)
 	clock := 0.0
 	var q eventQueue
 	seq := 0
@@ -202,21 +293,12 @@ func (p *Platform) Simulate(wl *core.Workload) (*Prediction, error) {
 		}
 
 		q = q[:0]
-		computeEnd := make([]float64, ranks)
-		var maxCompute float64
-		for r := 0; r < ranks; r++ {
-			np, ngp := frameCounts(wl, r, k)
-			it, err := p.IterTime(np, ngp, ranks)
-			if err != nil {
-				return nil, err
-			}
-			c := float64(sampleEvery) * it
-			computeEnd[r] = clock + c
-			pred.RankBusy[r] += c
-			if c > maxCompute {
-				maxCompute = c
-			}
-			push(computeEnd[r], evComputeDone, r, false)
+		maxCompute, err := memo.frame(wl, k, sampleEvery, compute, pred.RankBusy)
+		if err != nil {
+			return nil, err
+		}
+		for r, c := range compute {
+			push(clock+c, evComputeDone, r, false)
 		}
 		// baseEnd is the barrier ignoring migration arrivals; intervalEnd
 		// includes them. Their difference is the interval's migration cost.
@@ -254,6 +336,7 @@ func (p *Platform) Simulate(wl *core.Workload) (*Prediction, error) {
 	if wl.MigElemComm != nil {
 		m.migration(pred.MigrationSec(), migBytes)
 	}
+	m.replay(int64(ranks)*int64(wl.RealComp.Frames()), memo.evals)
 	return pred, nil
 }
 
@@ -263,7 +346,10 @@ func (p *Platform) Simulate(wl *core.Workload) (*Prediction, error) {
 //	max(compute_r, max over senders s→r (compute_s + msgTime(s, r))).
 //
 // It is algebraically identical to the event engine (the tests verify
-// equality) and is the path used for large rank counts.
+// equality) and is the path used for large rank counts. Per-rank compute
+// comes from the replay's IterTime memo, and each comm barrier is a max
+// taken straight over the sparse matrix in map order: every term is ≥ +0
+// and never NaN, so the max has the bits of the sorted-order fold.
 func (p *Platform) SimulateBSP(wl *core.Workload) (*Prediction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -278,38 +364,26 @@ func (p *Platform) SimulateBSP(wl *core.Workload) (*Prediction, error) {
 	}
 	pred := &Prediction{Ranks: ranks, RankBusy: make([]float64, ranks)}
 	m := p.simMetrics()
+	memo := newIterMemo(p, ranks)
 	pointsPerElem := p.N * p.N * p.N
 	var migScratch []migEntry
 	migBytes := 0.0
 	compute := make([]float64, ranks)
+	realMsg := func(e sparse.Entry) float64 {
+		return compute[e.Src] + p.Machine.transferTime(e.Count)
+	}
+	ghostMsg := func(e sparse.Entry) float64 {
+		return compute[e.Src] + float64(sampleEvery)*p.Machine.transferTime(e.Count)
+	}
 	for k := 0; k < wl.RealComp.Frames(); k++ {
 		m.begin()
-		var maxCompute float64
-		for r := 0; r < ranks; r++ {
-			np, ngp := frameCounts(wl, r, k)
-			it, err := p.IterTime(np, ngp, ranks)
-			if err != nil {
-				return nil, err
-			}
-			compute[r] = float64(sampleEvery) * it
-			pred.RankBusy[r] += compute[r]
-			if compute[r] > maxCompute {
-				maxCompute = compute[r]
-			}
+		maxCompute, err := memo.frame(wl, k, sampleEvery, compute, pred.RankBusy)
+		if err != nil {
+			return nil, err
 		}
-		base := maxCompute
-		for _, e := range wl.RealComm.At(k).Entries() {
-			if t := compute[e.Src] + p.Machine.transferTime(e.Count); t > base {
-				base = t
-			}
-		}
+		base := wl.RealComm.At(k).MaxOver(maxCompute, realMsg)
 		if wl.GhostComm != nil {
-			for _, e := range wl.GhostComm.At(k).Entries() {
-				t := compute[e.Src] + float64(sampleEvery)*p.Machine.transferTime(e.Count)
-				if t > base {
-					base = t
-				}
-			}
+			base = wl.GhostComm.At(k).MaxOver(base, ghostMsg)
 		}
 		// Migration messages extend the barrier past the compute+comm base;
 		// the excess is the interval's priced rebalance cost.
@@ -334,5 +408,6 @@ func (p *Platform) SimulateBSP(wl *core.Workload) (*Prediction, error) {
 	if wl.MigElemComm != nil {
 		m.migration(pred.MigrationSec(), migBytes)
 	}
+	m.replay(int64(ranks)*int64(wl.RealComp.Frames()), memo.evals)
 	return pred, nil
 }

@@ -6,7 +6,8 @@ package obs
 // the serve-side names in one place so the handlers that record them, the
 // tests that assert on them, and the dashboards reading /debug/vars off the
 // -pprof endpoint agree on spelling. Batch-side names (pipeline.*, core.*,
-// bsst.*, fused stage names) stay literal at their single recording site.
+// fused stage names, and bsst.* other than the replay counters below) stay
+// literal at their single recording site.
 const (
 	// ServeRequests counts every /v1/predict request accepted past
 	// admission control (whatever its final status).
@@ -90,6 +91,19 @@ const (
 	// (the Migration column summed over intervals), in integer nanoseconds
 	// of predicted time.
 	RebalanceMigrationNs = "rebalance.migration_ns"
+)
+
+// Canonical metric names of the BSP simulator's replay accounting
+// (internal/bsst). Both engines add to them once per completed replay; the
+// gap between the two is the IterTime work the per-replay memo saved.
+const (
+	// BsstRankIntervals counts the (rank, interval) cells replayed: R × T
+	// per replay.
+	BsstRankIntervals = "bsst.rank_intervals"
+	// BsstIterEvals counts IterTime evaluations — the distinct (np, ngp)
+	// pairs of each replay, i.e. the memo's misses. Each evaluation runs
+	// one model per kernel.
+	BsstIterEvals = "bsst.iter_evals"
 )
 
 // Canonical metric names of the coordinator layer (internal/gate +

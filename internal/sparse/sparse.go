@@ -96,6 +96,23 @@ func (m *Matrix) Entries() []Entry {
 	return es
 }
 
+// MaxOver returns the largest of floor and f(e) over the non-zero entries
+// e. It reads the map directly, without allocating or sorting, so entries
+// arrive in no particular order. With floor ≥ +0 the result still does not
+// depend on that order: the fold keeps the first of equal values (strict >),
+// a NaN f(e) never wins, and the only equal values with different bits,
+// -0 and +0, never beat such a floor. Callers that need the sorted order,
+// for output or order-dependent folds, use Entries.
+func (m *Matrix) MaxOver(floor float64, f func(Entry) float64) float64 {
+	best := floor
+	for k, v := range m.m {
+		if t := f(Entry{Src: int(k >> 32), Dst: int(uint32(k)), Count: v}); t > best {
+			best = t
+		}
+	}
+	return best
+}
+
 // RowSum returns the total outgoing count of rank src.
 func (m *Matrix) RowSum(src int) int64 {
 	var t int64

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -137,5 +138,49 @@ func TestTotalMatchesEntriesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// MaxOver agrees bit for bit with the same max taken over the sorted
+// entries, sees every entry exactly once, and allocates nothing.
+func TestMaxOverMatchesSortedFold(t *testing.T) {
+	m := NewMatrix(16)
+	if got := m.MaxOver(0.5, func(Entry) float64 { return 9 }); got != 0.5 {
+		t.Errorf("empty matrix: MaxOver = %v, want the floor 0.5", got)
+	}
+	for i := 0; i < 40; i++ {
+		_ = m.Add((i*7)%16, (i*5+3)%16, int64(i%9+1))
+	}
+	f := func(e Entry) float64 { return float64(e.Count)*1.5 + float64(e.Src)/16 - float64(e.Dst)/64 }
+	for _, floor := range []float64{0, 3, 100} {
+		want := floor
+		for _, e := range m.Entries() {
+			if t := f(e); t > want {
+				want = t
+			}
+		}
+		if got := m.MaxOver(floor, f); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("floor %v: MaxOver = %v, want %v", floor, got, want)
+		}
+	}
+	seen := map[Entry]int{}
+	m.MaxOver(0, func(e Entry) float64 { seen[e]++; return 0 })
+	for _, e := range m.Entries() {
+		if seen[e] != 1 {
+			t.Errorf("entry %+v visited %d times", e, seen[e])
+		}
+	}
+	if len(seen) != m.NumNonZero() {
+		t.Errorf("visited %d distinct entries, matrix has %d", len(seen), m.NumNonZero())
+	}
+	// A NaN term never wins, and a +0 floor outranks -0 terms.
+	if got := m.MaxOver(0, func(Entry) float64 { return math.NaN() }); got != 0 {
+		t.Errorf("NaN terms: MaxOver = %v, want 0", got)
+	}
+	if got := m.MaxOver(0, func(Entry) float64 { return math.Copysign(0, -1) }); math.Signbit(got) {
+		t.Error("a -0 term replaced the +0 floor")
+	}
+	if n := testing.AllocsPerRun(10, func() { m.MaxOver(0, f) }); n != 0 {
+		t.Errorf("MaxOver allocated %v times per call", n)
 	}
 }

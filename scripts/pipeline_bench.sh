@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# pipeline bench harness: measures the layers the cell-tiled particle
-# layout touches and writes them to BENCH_pipeline.json —
+# pipeline bench harness: measures the batch pipeline's hot layers and
+# writes them, with the commit, Go version, GOMAXPROCS and host cores they
+# ran on, to BENCH_pipeline.json —
 #
 #   fill    : paper-scale matrix fill (N_p = 599,257 on R = 8352 ranks),
 #             the flat per-particle oracle fill ("scalar") vs the
@@ -8,6 +9,12 @@
 #   stream  : frames/sec through StreamConcurrent with the generator as the
 #             sink;
 #   fused   : wall time of one fused simulate→build→predict run;
+#   simulate: one BSP replay (SimulateBSP) of a paper-scale workload
+#             (N_p = 599,257 on R = 8352, bin and element mapping, each
+#             also through the pre-memo oracle loop) and of the small
+#             R = 256 cluster fixture — ms, bytes and allocations per
+#             replay, plus the share of rank-intervals the per-replay
+#             IterTime memo reuses;
 #   sweep   : a paper-scale capacity-planning sweep (24 configurations over
 #             ranks 1044–8352), shared-build engine vs the naive
 #             one-pipeline-per-configuration loop;
@@ -16,7 +23,9 @@
 #             migration seconds, and rebalance epochs per policy.
 #
 # The headline ratios are speedup.fill_bin / speedup.fill_element (tiled
-# fill over the flat oracle fill at paper scale) and
+# fill over the flat oracle fill at paper scale),
+# speedup.simulate_bin / speedup.simulate_element (memoized replay over
+# the oracle replay at paper scale) and
 # speedup.sweep_shared_build (the sweep engine must clear 5× over naive
 # per-configuration evaluation). BENCHTIME=1x gives a CI smoke run; the
 # committed JSON uses the default 3x (sweep runs at 1x regardless — one
@@ -52,6 +61,10 @@ echo "== fused (single-process simulate→build→predict wall time)"
 go test -run '^$' -bench 'FusedPipeline$' -benchtime "$BENCHTIME" . \
     | tee "$workdir/fused.txt" || fail "fused benchmark failed"
 
+echo "== simulate (BSP replay per prediction)"
+go test -run '^$' -bench 'SimulateBSP' -benchmem -benchtime "$BENCHTIME" ./internal/bsst/ \
+    | tee "$workdir/simulate.txt" || fail "simulate benchmarks failed"
+
 echo "== rebalance (static vs dynamic policies, predicted + migration cost)"
 go test -run '^$' -bench 'Rebalance' -benchtime "$BENCHTIME" . \
     | tee "$workdir/rebalance.txt" || fail "rebalance benchmarks failed"
@@ -61,20 +74,28 @@ go test -run '^$' -bench 'SweepPaper' -benchtime 1x -timeout 30m ./internal/swee
     | tee "$workdir/sweep.txt" || fail "sweep benchmarks failed"
 
 echo "== write $OUT"
-python3 - "$workdir" "$OUT" "$BENCHTIME" <<'PY' || fail "assembling stats failed"
+commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
+    commit="$commit-dirty"
+fi
+python3 - "$workdir" "$OUT" "$BENCHTIME" "$commit" "$(go env GOVERSION)" <<'PY' || fail "assembling stats failed"
 import json, os, re, sys
 
-workdir, out, benchtime = sys.argv[1], sys.argv[2], sys.argv[3]
+workdir, out, benchtime, commit, goversion = sys.argv[1:6]
+# GOMAXPROCS of the benchmark runs, read from the "-N" suffix go test
+# appends to every benchmark name (no suffix means 1).
+gomaxprocs = set()
 
 def parse(path):
     """Benchmark name -> {"ms": ns/op in ms, "<unit>": extra metrics}."""
     runs = {}
-    pat = re.compile(r"^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$")
+    pat = re.compile(r"^(Benchmark\S+?)(?:-(\d+))?\s+\d+\s+(.*)$")
     for line in open(os.path.join(workdir, path)):
         m = pat.match(line)
         if not m:
             continue
-        name, rest = m.group(1), m.group(2)
+        name, rest = m.group(1), m.group(3)
+        gomaxprocs.add(int(m.group(2) or 1))
         r = runs.setdefault(name, {})
         for val, unit in re.findall(r"([\d.e+]+)\s+(\S+)", rest):
             key = "ms" if unit == "ns/op" else unit.replace("/", "_per_")
@@ -89,6 +110,7 @@ stream = parse("stream.txt")
 fused = parse("fused.txt")
 sweep = parse("sweep.txt")
 rebal = parse("rebalance.txt")
+simulate = parse("simulate.txt")
 
 def ms(runs, name):
     try:
@@ -97,7 +119,7 @@ def ms(runs, name):
         sys.exit(f"benchmark {name} missing from output")
 
 doc = {
-    "bench": "tiled particle layout: fill / stream / fused hot paths",
+    "bench": "pipeline hot paths: fill / stream / fused / simulate / sweep / rebalance",
     "config": {
         "np": 599257,
         "ranks": 8352,
@@ -107,6 +129,9 @@ doc = {
         # per-tile windows), not parallelism — both variants run serially, so
         # the ratios hold on a 1-core host.
         "host_cores": os.cpu_count(),
+        "gomaxprocs": sorted(gomaxprocs)[0] if len(gomaxprocs) == 1 else sorted(gomaxprocs),
+        "go_version": goversion,
+        "commit": commit,
     },
     "fill_ms_per_frame": {
         "bin_scalar": ms(fill, "PaperFillBinScalar"),
@@ -149,11 +174,32 @@ for policy in ("Static", "Periodic", "Threshold", "Diffusion"):
         entry["predicted_speedup_vs_static"] = round(static_pred / entry["predicted_s"], 2)
     rebal_doc[policy.lower()] = entry
 doc["rebalance"] = rebal_doc
+
+# One BSP replay per prediction. reuse_share is the fraction of
+# rank-intervals whose IterTime the per-replay memo answered without
+# evaluating the kernel models; the *_oracle cases replay the same
+# workloads through the loop without the memo and with sorted comm folds.
+sim_doc = {}
+for case in ("paper_bin", "paper_bin_oracle", "paper_element", "paper_element_oracle", "cluster256"):
+    r = simulate.get("BenchmarkSimulateBSP/" + case)
+    if r is None:
+        sys.exit(f"benchmark SimulateBSP/{case} missing from output")
+    sim_doc[case] = {
+        "ms": round(r["ms"], 3),
+        "bytes_per_op": int(r["B_per_op"]),
+        "allocs_per_op": int(r["allocs_per_op"]),
+        "rank_intervals": int(r["rank_intervals"]),
+        "iter_evals": int(r["iter_evals"]),
+        "reuse_share": round(1 - r["iter_evals"] / r["rank_intervals"], 4),
+    }
+doc["simulate_per_prediction"] = sim_doc
 f = doc["fill_ms_per_frame"]
 sw = doc["sweep_configs_per_s"]
 doc["speedup"] = {
     "fill_bin": round(f["bin_scalar"] / f["bin_tiled"], 2),
     "fill_element": round(f["element_scalar"] / f["element_tiled"], 2),
+    "simulate_bin": round(sim_doc["paper_bin_oracle"]["ms"] / sim_doc["paper_bin"]["ms"], 2),
+    "simulate_element": round(sim_doc["paper_element_oracle"]["ms"] / sim_doc["paper_element"]["ms"], 2),
     "sweep_shared_build": round(sw["shared_build"] / sw["naive"], 2),
 }
 with open(out, "w") as fh:
@@ -165,6 +211,9 @@ print(f"   fill element: {f['element_scalar']:.0f} -> {f['element_tiled']:.0f} m
       f"({doc['speedup']['fill_element']}x)")
 print(f"   stream      : {doc['stream_frames_per_s']:.2f} frames/s")
 print(f"   fused run   : {doc['fused_run_ms']:.0f} ms")
+for case, entry in sim_doc.items():
+    print(f"   simulate {case:<20}: {entry['ms']:.3f} ms/replay, "
+          f"{entry['allocs_per_op']} allocs, reuse {entry['reuse_share']:.1%}")
 print(f"   sweep       : {sw['naive']:.3f} -> {sw['shared_build']:.3f} configs/s "
       f"({doc['speedup']['sweep_shared_build']}x)")
 for policy, entry in rebal_doc.items():
