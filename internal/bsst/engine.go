@@ -348,8 +348,8 @@ func (p *Platform) Simulate(wl *core.Workload) (*Prediction, error) {
 // It is algebraically identical to the event engine (the tests verify
 // equality) and is the path used for large rank counts. Per-rank compute
 // comes from the replay's IterTime memo, and each comm barrier is a max
-// taken straight over the sparse matrix in map order: every term is ≥ +0
-// and never NaN, so the max has the bits of the sorted-order fold.
+// folded straight over the sealed sparse frame, in its sorted order and
+// without allocating.
 func (p *Platform) SimulateBSP(wl *core.Workload) (*Prediction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

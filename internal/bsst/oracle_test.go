@@ -112,7 +112,8 @@ func randomWorkload(rng *rand.Rand, mig bool) *core.Workload {
 	for i := range pool {
 		pool[i] = [2]int64{count(), count() / 4}
 	}
-	fillComm := func(m *sparse.Matrix) {
+	fillComm := func() *sparse.Matrix {
+		m := sparse.NewAcc(ranks)
 		switch rng.Intn(3) {
 		case 0: // empty
 		case 1: // a few pairs
@@ -128,6 +129,7 @@ func randomWorkload(rng *rand.Rand, mig bool) *core.Workload {
 				}
 			}
 		}
+		return m.Seal()
 	}
 	for k := 0; k < frames; k++ {
 		reals := wl.RealComp.AppendFrame(100 * k)
@@ -152,12 +154,12 @@ func randomWorkload(rng *rand.Rand, mig bool) *core.Workload {
 				ghostCounts[r] = ngp
 			}
 		}
-		fillComm(wl.RealComm.Append())
+		wl.RealComm.Append(fillComm())
 		if ghosts {
-			fillComm(wl.GhostComm.Append())
+			wl.GhostComm.Append(fillComm())
 		}
 		if mig {
-			elems, parts := wl.MigElemComm.Append(), wl.MigPartComm.Append()
+			elems, parts := sparse.NewAcc(ranks), sparse.NewAcc(ranks)
 			if rng.Intn(2) == 0 {
 				for i := 1 + rng.Intn(ranks); i > 0; i-- {
 					s, d := rng.Intn(ranks), rng.Intn(ranks)
@@ -167,6 +169,8 @@ func randomWorkload(rng *rand.Rand, mig bool) *core.Workload {
 					}
 				}
 			}
+			wl.MigElemComm.Append(elems.Seal())
+			wl.MigPartComm.Append(parts.Seal())
 		}
 	}
 	return wl
@@ -306,8 +310,11 @@ func countedWorkload() *core.Workload {
 	} {
 		copy(wl.RealComp.AppendFrame(100*k), f.real[:])
 		copy(wl.GhostComp.AppendFrame(100*k), f.ghost[:])
-		_ = wl.RealComm.Append().Add(1, 3, 2)
-		_ = wl.GhostComm.Append().Add(0, 2, 1)
+		rc, gc := sparse.NewAcc(4), sparse.NewAcc(4)
+		_ = rc.Add(1, 3, 2)
+		_ = gc.Add(0, 2, 1)
+		wl.RealComm.Append(rc.Seal())
+		wl.GhostComm.Append(gc.Seal())
 	}
 	return wl
 }

@@ -112,9 +112,9 @@ func benchPaperFill(b *testing.B, mapper mapping.Mapper, flat bool) {
 	}
 	ranks := g.wl.Ranks
 	comp := make([]int64, ranks)
-	comm := sparse.NewMatrix(ranks)
+	comm := sparse.NewAcc(ranks)
 	gcomp := make([]int64, ranks)
-	gcomm := sparse.NewMatrix(ranks)
+	gcomm := sparse.NewAcc(ranks)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(comp)

@@ -32,7 +32,9 @@ type Config struct {
 }
 
 // Workload is the generator's output: computation and communication
-// matrices for real and ghost particles.
+// matrices for real and ghost particles. Every communication frame is
+// sealed (sorted and immutable) as soon as it is filled, so a finished
+// workload is never mutated.
 type Workload struct {
 	// Ranks is the processor count R the workload was generated for.
 	Ranks int
@@ -64,6 +66,24 @@ type Workload struct {
 	MigPartComm *sparse.Series
 }
 
+// ResidentBytes returns the heap the workload's matrices hold: 8 B per
+// dense computation-matrix cell and frame iteration, 16 B per sealed
+// communication entry. Slice headers and per-frame bookkeeping, a few
+// dozen bytes per frame, are left out.
+func (wl *Workload) ResidentBytes() int64 {
+	cells := len(wl.RealComp.data) + len(wl.RealComp.iterations)
+	if wl.GhostComp != nil {
+		cells += len(wl.GhostComp.data) + len(wl.GhostComp.iterations)
+	}
+	entries := 0
+	for _, s := range []*sparse.Series{wl.RealComm, wl.GhostComm, wl.MigElemComm, wl.MigPartComm} {
+		if s != nil {
+			entries += s.NumNonZero()
+		}
+	}
+	return 8*int64(cells) + 16*int64(entries)
+}
+
 // Generator synthesises a Workload from trace frames. Feed frames in order
 // with Frame, then call Finish. A Generator is single-use.
 type Generator struct {
@@ -80,11 +100,16 @@ type Generator struct {
 	tb      tile.Builder
 	scratch []tileScratch // per-worker tile scratch; [0] serves the serial fill
 
+	// Every frame's comm matrices are filled into these pooled
+	// accumulators, Reset per frame, and sealed into the workload; nil
+	// where the workload has no such matrix.
+	comm, ghostComm, migElem, migPart *sparse.Acc
+
 	// parallel-fill state (Workers > 1)
-	partComp      [][]int64        // per-worker real-comp partials
-	partGhost     [][]int64        // per-worker ghost-comp partials
-	partComm      []*sparse.Matrix // per-worker real-comm partials, pooled across frames
-	partGhostComm []*sparse.Matrix // per-worker ghost-comm partials, pooled across frames
+	partComp      [][]int64     // per-worker real-comp partials
+	partGhost     [][]int64     // per-worker ghost-comp partials
+	partComm      []*sparse.Acc // per-worker real-comm partials, pooled across frames
+	partGhostComm []*sparse.Acc // per-worker ghost-comm partials, pooled across frames
 	parErrs       []error
 
 	// observability (nil instruments when disabled; see SetObs)
@@ -144,14 +169,17 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		RealComp: NewCompMatrix(r),
 		RealComm: sparse.NewSeries(r),
 	}
+	g.comm = sparse.NewAcc(r)
 	if g.ghosts != nil {
 		g.wl.GhostComp = NewCompMatrix(r)
 		g.wl.GhostComm = sparse.NewSeries(r)
+		g.ghostComm = sparse.NewAcc(r)
 	}
 	if ms, ok := cfg.Mapper.(mapping.MigrationSource); ok {
 		g.mig = ms
 		g.wl.MigElemComm = sparse.NewSeries(r)
 		g.wl.MigPartComm = sparse.NewSeries(r)
+		g.migElem, g.migPart = sparse.NewAcc(r), sparse.NewAcc(r)
 	}
 	return g, nil
 }
@@ -178,23 +206,22 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 	}
 
 	comp := g.wl.RealComp.AppendFrame(iteration)
-	comm := g.wl.RealComm.Append()
+	g.comm.Reset()
 	var gcomp []int64
-	var gcomm *sparse.Matrix
 	if g.ghosts != nil {
 		gcomp = g.wl.GhostComp.AppendFrame(iteration)
-		gcomm = g.wl.GhostComm.Append()
+		g.ghostComm.Reset()
 	}
 	if g.mig != nil {
 		// The mapper just ran this frame's (possible) rebalance inside
 		// Assign; drain what moved into this interval's migration matrices.
-		me := g.wl.MigElemComm.Append()
-		mp := g.wl.MigPartComm.Append()
+		g.migElem.Reset()
+		g.migPart.Reset()
 		for _, m := range g.mig.DrainMigrations() {
-			if err := me.Add(m.Src, m.Dst, m.Elements); err != nil {
+			if err := g.migElem.Add(m.Src, m.Dst, m.Elements); err != nil {
 				return fmt.Errorf("core: frame %d: %w", g.frames, err)
 			}
-			if err := mp.Add(m.Src, m.Dst, m.Particles); err != nil {
+			if err := g.migPart.Add(m.Src, m.Dst, m.Particles); err != nil {
 				return fmt.Errorf("core: frame %d: %w", g.frames, err)
 			}
 			if g.obsOn {
@@ -212,8 +239,16 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 	if g.obsOn {
 		t0 = time.Now() //lint:allow determinism wall-clock fill timing for the obs layer; workload contents never depend on it
 	}
-	if err := g.fill(pos, workers, comp, comm, gcomp, gcomm); err != nil {
+	if err := g.fill(pos, workers, comp, g.comm, gcomp, g.ghostComm); err != nil {
 		return fmt.Errorf("core: frame %d: %w", g.frames, err)
+	}
+	g.wl.RealComm.Append(g.comm.Seal())
+	if g.ghosts != nil {
+		g.wl.GhostComm.Append(g.ghostComm.Seal())
+	}
+	if g.mig != nil {
+		g.wl.MigElemComm.Append(g.migElem.Seal())
+		g.wl.MigPartComm.Append(g.migPart.Seal())
 	}
 	if g.obsOn {
 		ns := time.Since(t0).Nanoseconds()
@@ -251,7 +286,7 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 // per-particle spatial work the tiling amortises. Ghost-less frames have
 // no spatial work to share, so they run fillIndexRange over the particles
 // in index order instead of paying for the counting sort.
-func (g *Generator) fill(pos []geom.Vec3, workers int, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
+func (g *Generator) fill(pos []geom.Vec3, workers int, comp []int64, comm *sparse.Acc, gcomp []int64, gcomm *sparse.Acc) error {
 	withComm := g.frames > 0
 	var tl *tile.Tiling
 	units := len(pos)
@@ -260,7 +295,7 @@ func (g *Generator) fill(pos []geom.Vec3, workers int, comp []int64, comm *spars
 		units = tl.NumTiles()
 		g.obsTiles.Add(int64(units))
 	}
-	body := func(lo, hi int, src mapping.GhostSource, scr *tileScratch, comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
+	body := func(lo, hi int, src mapping.GhostSource, scr *tileScratch, comp []int64, comm *sparse.Acc, gcomp []int64, gcomm *sparse.Acc) error {
 		if tl == nil {
 			return g.fillIndexRange(lo, hi, comp, comm, withComm)
 		}
@@ -292,7 +327,7 @@ func (g *Generator) fill(pos []geom.Vec3, workers int, comp []int64, comm *spars
 			clear(pc)
 			pm.Reset()
 			var pg []int64
-			var pgm *sparse.Matrix
+			var pgm *sparse.Acc
 			var src mapping.GhostSource
 			if views != nil {
 				pg, pgm, src = g.partGhost[w], g.partGhostComm[w], views[w]
@@ -312,7 +347,7 @@ func (g *Generator) fill(pos []geom.Vec3, workers int, comp []int64, comm *spars
 }
 
 // ensureParallelState allocates the per-worker partial matrices once;
-// partial sparse matrices are pooled and Reset per frame, so steady-state
+// partial accumulators are pooled and Reset per frame, so steady-state
 // frames allocate nothing here.
 func (g *Generator) ensureParallelState() {
 	if g.partComp != nil {
@@ -321,17 +356,17 @@ func (g *Generator) ensureParallelState() {
 	workers := g.cfg.Workers
 	ranks := g.wl.Ranks
 	g.partComp = make([][]int64, workers)
-	g.partComm = make([]*sparse.Matrix, workers)
+	g.partComm = make([]*sparse.Acc, workers)
 	for w := range g.partComp {
 		g.partComp[w] = make([]int64, ranks)
-		g.partComm[w] = sparse.NewMatrix(ranks)
+		g.partComm[w] = sparse.NewAcc(ranks)
 	}
 	if g.ghosts != nil {
 		g.partGhost = make([][]int64, workers)
-		g.partGhostComm = make([]*sparse.Matrix, workers)
+		g.partGhostComm = make([]*sparse.Acc, workers)
 		for w := range g.partGhost {
 			g.partGhost[w] = make([]int64, ranks)
-			g.partGhostComm[w] = sparse.NewMatrix(ranks)
+			g.partGhostComm[w] = sparse.NewAcc(ranks)
 		}
 	}
 	g.parErrs = make([]error, workers)
@@ -340,7 +375,7 @@ func (g *Generator) ensureParallelState() {
 // reducePartials folds the per-worker partials into the frame matrices in
 // fixed worker order. Integer sums: the order cannot change the result,
 // it only makes runs reproducible instrumentation-wise.
-func (g *Generator) reducePartials(comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix, withComm bool) error {
+func (g *Generator) reducePartials(comp []int64, comm *sparse.Acc, gcomp []int64, gcomm *sparse.Acc, withComm bool) error {
 	for w := range g.partComp {
 		for i, v := range g.partComp[w] {
 			comp[i] += v
@@ -365,7 +400,7 @@ func (g *Generator) reducePartials(comp []int64, comm *sparse.Matrix, gcomp []in
 // fillIndexRange is the ghost-less fill body: particles [lo, hi) in index
 // order add to their rank's comp row and, after the first frame, each
 // particle whose rank changed adds one (previous, current) comm entry.
-func (g *Generator) fillIndexRange(lo, hi int, comp []int64, comm *sparse.Matrix, withComm bool) error {
+func (g *Generator) fillIndexRange(lo, hi int, comp []int64, comm *sparse.Acc, withComm bool) error {
 	cur := g.cur[lo:hi]
 	for _, r := range cur {
 		comp[r]++
@@ -423,7 +458,7 @@ func (t *pairTally) add(src, dst int) {
 	t.n = append(t.n, 1)
 }
 
-func (t *pairTally) flush(m *sparse.Matrix) error {
+func (t *pairTally) flush(m *sparse.Acc) error {
 	for i := range t.src {
 		if err := m.Add(int(t.src[i]), int(t.dst[i]), t.n[i]); err != nil {
 			return err
@@ -449,7 +484,7 @@ type tileScratch struct {
 // are integer adds, so any tile partition produces the results of the flat
 // per-particle loop bit-for-bit.
 func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, src mapping.GhostSource, scr *tileScratch,
-	comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix, withComm bool) error {
+	comp []int64, comm *sparse.Acc, gcomp []int64, gcomm *sparse.Acc, withComm bool) error {
 	radius := g.cfg.FilterRadius
 	for t := t0; t < t1; t++ {
 		ids := tl.Tile(t)

@@ -269,6 +269,7 @@ func readWorkloadV2(br *bufio.Reader) (wl *Workload, damage error, err error) {
 		wl.MigElemComm = sparse.NewSeries(int(ranks))
 		wl.MigPartComm = sparse.NewSeries(int(ranks))
 	}
+	accs := newFrameAccs(int(ranks))
 	for k := 0; k < int(frames); k++ {
 		payload, err := fr.ReadFrame()
 		if err != nil {
@@ -278,7 +279,7 @@ func readWorkloadV2(br *bufio.Reader) (wl *Workload, damage error, err error) {
 			damage = fmt.Errorf("core: workload interval %d of %d: %w", k, frames, err)
 			break
 		}
-		if err := parseWorkloadFrame(wl, payload, ghosts, migration); err != nil {
+		if err := parseWorkloadFrame(wl, payload, ghosts, migration, accs); err != nil {
 			damage = fmt.Errorf("core: workload interval %d of %d: %w", k, frames, err)
 			break
 		}
@@ -289,10 +290,20 @@ func readWorkloadV2(br *bufio.Reader) (wl *Workload, damage error, err error) {
 	return wl, damage, nil
 }
 
+// frameAccs are the reader's pooled accumulators, one per communication
+// matrix of an interval: each frame's entries are summed into them (a file
+// may repeat a cell or carry cancelling counts) and sealed, exactly as the
+// generator seals what it fills.
+type frameAccs struct{ real, ghost, migElem, migPart *sparse.Acc }
+
+func newFrameAccs(ranks int) *frameAccs {
+	return &frameAccs{sparse.NewAcc(ranks), sparse.NewAcc(ranks), sparse.NewAcc(ranks), sparse.NewAcc(ranks)}
+}
+
 // parseWorkloadFrame decodes one interval payload into wl, appending one
 // frame to every matrix — all-or-nothing, so a malformed payload never
 // leaves the matrices at different lengths.
-func parseWorkloadFrame(wl *Workload, payload []byte, ghosts, migration bool) error {
+func parseWorkloadFrame(wl *Workload, payload []byte, ghosts, migration bool, accs *frameAccs) error {
 	p := payload
 	take := func(n int) ([]byte, error) {
 		if len(p) < n {
@@ -318,7 +329,8 @@ func parseWorkloadFrame(wl *Workload, payload []byte, ghosts, migration bool) er
 		}
 		return nil
 	}
-	readCommInto := func(m *sparse.Matrix) error {
+	readCommInto := func(a *sparse.Acc) error {
+		a.Reset()
 		b, err := take(4)
 		if err != nil {
 			return err
@@ -332,7 +344,7 @@ func parseWorkloadFrame(wl *Workload, payload []byte, ghosts, migration bool) er
 			src := int(binary.LittleEndian.Uint32(e[0:]))
 			dst := int(binary.LittleEndian.Uint32(e[4:]))
 			count := int64(binary.LittleEndian.Uint64(e[8:]))
-			if err := m.Add(src, dst, count); err != nil {
+			if err := a.Add(src, dst, count); err != nil {
 				return fmt.Errorf("core: workload file entry out of range: %w", err)
 			}
 		}
@@ -343,28 +355,24 @@ func parseWorkloadFrame(wl *Workload, payload []byte, ghosts, migration bool) er
 	if err := readRow(realRow); err != nil {
 		return err
 	}
-	realComm := sparse.NewMatrix(wl.Ranks)
-	if err := readCommInto(realComm); err != nil {
+	if err := readCommInto(accs.real); err != nil {
 		return err
 	}
 	var ghostRow []int64
-	ghostComm := sparse.NewMatrix(wl.Ranks)
 	if ghosts {
 		ghostRow = make([]int64, wl.Ranks)
 		if err := readRow(ghostRow); err != nil {
 			return err
 		}
-		if err := readCommInto(ghostComm); err != nil {
+		if err := readCommInto(accs.ghost); err != nil {
 			return err
 		}
 	}
-	migElem := sparse.NewMatrix(wl.Ranks)
-	migPart := sparse.NewMatrix(wl.Ranks)
 	if migration {
-		if err := readCommInto(migElem); err != nil {
+		if err := readCommInto(accs.migElem); err != nil {
 			return err
 		}
-		if err := readCommInto(migPart); err != nil {
+		if err := readCommInto(accs.migPart); err != nil {
 			return err
 		}
 	}
@@ -373,22 +381,14 @@ func parseWorkloadFrame(wl *Workload, payload []byte, ghosts, migration bool) er
 	}
 
 	copy(wl.RealComp.AppendFrame(iteration), realRow)
-	if err := realComm.AddInto(wl.RealComm.Append()); err != nil {
-		return err
-	}
+	wl.RealComm.Append(accs.real.Seal())
 	if ghosts {
 		copy(wl.GhostComp.AppendFrame(iteration), ghostRow)
-		if err := ghostComm.AddInto(wl.GhostComm.Append()); err != nil {
-			return err
-		}
+		wl.GhostComm.Append(accs.ghost.Seal())
 	}
 	if migration {
-		if err := migElem.AddInto(wl.MigElemComm.Append()); err != nil {
-			return err
-		}
-		if err := migPart.AddInto(wl.MigPartComm.Append()); err != nil {
-			return err
-		}
+		wl.MigElemComm.Append(accs.migElem.Seal())
+		wl.MigPartComm.Append(accs.migPart.Seal())
 	}
 	return nil
 }
@@ -461,8 +461,9 @@ func readComp(r io.Reader, ranks int, its []int64) (*CompMatrix, error) {
 
 func readComm(r io.Reader, ranks, frames int) (*sparse.Series, error) {
 	s := sparse.NewSeries(ranks)
+	m := sparse.NewAcc(ranks)
 	for k := 0; k < frames; k++ {
-		m := s.Append()
+		m.Reset()
 		var n uint32
 		if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 			return nil, fmt.Errorf("core: reading communication matrix: %w", err)
@@ -483,6 +484,7 @@ func readComm(r io.Reader, ranks, frames int) (*sparse.Series, error) {
 				return nil, fmt.Errorf("core: workload file entry out of range: %w", err)
 			}
 		}
+		s.Append(m.Seal())
 	}
 	return s, nil
 }

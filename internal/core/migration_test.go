@@ -147,6 +147,22 @@ func TestWorkloadMigrationRoundTrip(t *testing.T) {
 	if back.MigElemComm == nil || back.MigPartComm == nil {
 		t.Fatal("migration matrices lost in round trip")
 	}
+	if back.GhostComm == nil {
+		t.Fatal("ghost matrices lost in round trip")
+	}
+	// The reader seals what it reads exactly as the generator seals what it
+	// fills: writing the read-back workload reproduces the file byte for
+	// byte, and both hold the same resident bytes.
+	var again bytes.Buffer
+	if err := back.Write(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Errorf("write → read → write is not byte-identical (%d vs %d bytes)", again.Len(), buf.Len())
+	}
+	if got, want := back.ResidentBytes(), wl.ResidentBytes(); got != want {
+		t.Errorf("ResidentBytes after round trip = %d, want %d", got, want)
+	}
 	for k := 0; k < frames; k++ {
 		if !reflect.DeepEqual(wl.MigElemComm.At(k).Entries(), back.MigElemComm.At(k).Entries()) {
 			t.Errorf("MigElemComm frame %d differs after round trip", k)

@@ -13,7 +13,7 @@ import (
 // index-order bodies must reproduce it bit-for-bit. prev is nil on the
 // first frame (no comm); ghosts is nil when ghost matrices are off.
 func flatFill(ghosts mapping.GhostSource, radius float64, cur, prev []int, pos []geom.Vec3,
-	comp []int64, comm *sparse.Matrix, gcomp []int64, gcomm *sparse.Matrix) error {
+	comp []int64, comm *sparse.Acc, gcomp []int64, gcomm *sparse.Acc) error {
 	for _, r := range cur {
 		comp[r]++
 	}
@@ -67,13 +67,16 @@ func oracleWorkload(t testing.TB, mapper mapping.Mapper, radius float64, iters [
 			t.Fatal(err)
 		}
 		var gcomp []int64
-		var gcomm *sparse.Matrix
+		comm, gcomm := sparse.NewAcc(r), sparse.NewAcc(r)
 		if ghosts != nil {
 			gcomp = wl.GhostComp.AppendFrame(it)
-			gcomm = wl.GhostComm.Append()
 		}
-		if err := flatFill(ghosts, radius, cur, prev, frame, wl.RealComp.AppendFrame(it), wl.RealComm.Append(), gcomp, gcomm); err != nil {
+		if err := flatFill(ghosts, radius, cur, prev, frame, wl.RealComp.AppendFrame(it), comm, gcomp, gcomm); err != nil {
 			t.Fatal(err)
+		}
+		wl.RealComm.Append(comm.Seal())
+		if ghosts != nil {
+			wl.GhostComm.Append(gcomm.Seal())
 		}
 		prev = cur
 	}

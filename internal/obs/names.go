@@ -45,6 +45,19 @@ const (
 	// ServeTrainNs times registry training runs — one observation per
 	// cache miss that ran the Model Generator.
 	ServeTrainNs = "serve.model_train_ns"
+
+	// ServeWorkloadCacheHits / ServeWorkloadCacheMisses count workload-memo
+	// lookups (one per rank count of a trace query, one per distinct build
+	// of a sweep) that found a (ready or in-flight) workload vs. ones that
+	// started a build; ServeWorkloadCacheEvictions counts LRU evictions
+	// under the memo's byte budget.
+	ServeWorkloadCacheHits      = "serve.workload_cache.hits"
+	ServeWorkloadCacheMisses    = "serve.workload_cache.misses"
+	ServeWorkloadCacheEvictions = "serve.workload_cache.evictions"
+	// ServeWorkloadBuildNs times workload-memo builds — one observation per
+	// miss that ran the Dynamic Workload Generator, abandoned builds
+	// included.
+	ServeWorkloadBuildNs = "serve.workload_build_ns"
 )
 
 // Canonical metric names of the capacity-planning sweep engine

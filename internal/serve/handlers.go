@@ -90,6 +90,10 @@ type PredictResult struct {
 	// actually moved ownership.
 	MigrationSec    float64 `json:"migration_sec,omitempty"`
 	RebalanceEpochs int     `json:"rebalance_epochs,omitempty"`
+	// WorkloadCache reports whether a trace query's workload came from the
+	// workload memo ("hit") or was built for it ("miss"); omitted on
+	// workload replays, which build nothing.
+	WorkloadCache string `json:"workload_cache,omitempty"`
 }
 
 // PredictResponse is the /v1/predict response body.
@@ -169,12 +173,21 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.runAdmitted(w, r, func(ctx context.Context) (any, int, error) {
 		var req PredictRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+		if err := decodeBody(w, r, &req); err != nil {
+			return nil, http.StatusBadRequest, err
 		}
 		req.cacheOnly = r.Header.Get(CacheOnlyHeader) != ""
 		return s.predict(ctx, &req)
 	})
+}
+
+// decodeBody decodes one JSON request body of at most 1 MiB into v — the
+// decode step /v1/predict and /v1/optimize share.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %v", err)
+	}
+	return nil
 }
 
 // runAdmitted funnels one request through the admission pipeline shared by
@@ -274,76 +287,137 @@ func (s *Server) predict(ctx context.Context, req *PredictRequest) (*PredictResp
 	if req.Workload != "" {
 		return s.predictWorkload(ctx, req, kind, trainOpts, q)
 	}
-	return s.predictTrace(ctx, req, kind, trainOpts, q)
+	tq, status, err := s.parseTraceQuery(req)
+	if err != nil {
+		return nil, status, err
+	}
+	return s.predictTrace(ctx, req, tq, kind, trainOpts, q)
 }
 
-// predictTrace serves the generate-then-predict path over a trace artefact.
-func (s *Server) predictTrace(ctx context.Context, req *PredictRequest, kind picpredict.ModelKind, trainOpts picpredict.TrainOptions, q picpredict.QueryOptions) (*PredictResponse, int, error) {
+// traceQuery is a validated /v1/predict trace query: the artefact, the rank
+// counts, and the canonical workload options every rank count shares.
+type traceQuery struct {
+	art   *traceArtefact
+	ranks []int
+	opts  picpredict.WorkloadOptions // Ranks and Workers zero
+}
+
+// workloadKey identifies one workload-memo entry: the registered trace
+// artefact (the registration itself, not its checksum string — a
+// caller-supplied 32-bit CRC neither covers the mesh WithMesh attaches nor
+// tells apart two traces registered under one checksum) and canonical
+// generator options: Workers dropped (workloads are identical for any
+// value) and the "none" rebalance folded into "".
+type workloadKey struct {
+	art  *traceArtefact
+	opts picpredict.WorkloadOptions
+}
+
+// key is the workload-memo key of one of the query's rank counts.
+func (tq traceQuery) key(ranks int) workloadKey {
+	o := tq.opts
+	o.Ranks = ranks
+	return newWorkloadKey(tq.art, o)
+}
+
+func newWorkloadKey(art *traceArtefact, o picpredict.WorkloadOptions) workloadKey {
+	o.Workers = 0
+	if o.Rebalance == "none" {
+		o.Rebalance = ""
+	}
+	return workloadKey{art: art, opts: o}
+}
+
+// parseTraceQuery validates a trace query before anything is resolved: the
+// scenario exists (404 otherwise), and the rank counts, filter, mapping
+// and rebalance policy are well formed and fit the trace (400 otherwise).
+func (s *Server) parseTraceQuery(req *PredictRequest) (traceQuery, int, error) {
 	name := req.Scenario
 	if name == "" {
 		name = s.defaultTrace
 	}
 	art := s.traces[name]
 	if art == nil {
-		return nil, http.StatusNotFound, fmt.Errorf("unknown scenario %q (loaded: %v)", name, s.traceNames())
+		return traceQuery{}, http.StatusNotFound, fmt.Errorf("unknown scenario %q (loaded: %v)", name, s.traceNames())
 	}
 	if len(req.Ranks) == 0 {
-		return nil, http.StatusBadRequest, errors.New("ranks is required (e.g. [1044, 2088])")
+		return traceQuery{}, http.StatusBadRequest, errors.New("ranks is required (e.g. [1044, 2088])")
 	}
 	for _, r := range req.Ranks {
 		if r <= 0 {
-			return nil, http.StatusBadRequest, fmt.Errorf("rank count %d is not positive", r)
+			return traceQuery{}, http.StatusBadRequest, fmt.Errorf("rank count %d is not positive", r)
 		}
 		if r > core.MaxRanks {
-			return nil, http.StatusBadRequest, fmt.Errorf("rank count %d exceeds the %d limit", r, core.MaxRanks)
+			return traceQuery{}, http.StatusBadRequest, fmt.Errorf("rank count %d exceeds the %d limit", r, core.MaxRanks)
 		}
+	}
+	if req.Filter < 0 {
+		return traceQuery{}, http.StatusBadRequest, fmt.Errorf("filter radius %g is negative", req.Filter)
 	}
 	mapping, err := picpredict.ParseMappingKind(req.Mapping)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return traceQuery{}, http.StatusBadRequest, err
 	}
 	rebal, err := cli.ParseRebalance("rebalance", req.Rebalance)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return traceQuery{}, http.StatusBadRequest, err
 	}
 	if rebal != "" && rebal != "none" && mapping != picpredict.MappingElement {
-		return nil, http.StatusBadRequest, fmt.Errorf("rebalance %q requires mapping \"element\", got %q", rebal, mapping)
+		return traceQuery{}, http.StatusBadRequest, fmt.Errorf("rebalance %q requires mapping \"element\", got %q", rebal, mapping)
 	}
 	if mapping != picpredict.MappingBin {
 		if _, _, ok := art.tr.Mesh(); !ok {
-			return nil, http.StatusBadRequest, fmt.Errorf("mapping %q needs the application element grid; start picserve with -elements ex,ey,ez", mapping)
+			return traceQuery{}, http.StatusBadRequest, fmt.Errorf("mapping %q needs the application element grid; start picserve with -elements ex,ey,ez", mapping)
 		}
 	}
+	return traceQuery{art: art, ranks: req.Ranks, opts: picpredict.WorkloadOptions{
+		Mapping:       mapping,
+		Rebalance:     rebal,
+		FilterRadius:  req.Filter,
+		RelaxedBins:   req.RelaxedBins,
+		MidpointSplit: req.MidpointSplit,
+	}}, http.StatusOK, nil
+}
 
-	models, hit, err := s.models(ctx, art.crc, kind, trainOpts, req.cacheOnly)
+// predictTrace serves a validated trace query: one workload per rank count,
+// resolved through the workload memo, then one BSP replay each.
+func (s *Server) predictTrace(ctx context.Context, req *PredictRequest, tq traceQuery, kind picpredict.ModelKind, trainOpts picpredict.TrainOptions, q picpredict.QueryOptions) (*PredictResponse, int, error) {
+	models, hit, err := s.models(ctx, tq.art.crc, kind, trainOpts, req.cacheOnly)
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
 
 	resp := &PredictResponse{
-		Scenario: name,
-		ModelKey: Fingerprint(art.crc, kind, trainOpts),
+		Scenario: tq.art.name,
+		ModelKey: Fingerprint(tq.art.crc, kind, trainOpts),
 		Cache:    cacheLabel(hit),
 	}
-	for _, ranks := range req.Ranks {
+	for _, ranks := range tq.ranks {
 		if err := ctx.Err(); err != nil {
 			return nil, http.StatusGatewayTimeout, err
 		}
-		q.Workload = picpredict.WorkloadOptions{
-			Ranks:         ranks,
-			Mapping:       mapping,
-			Rebalance:     rebal,
-			FilterRadius:  req.Filter,
-			RelaxedBins:   req.RelaxedBins,
-			MidpointSplit: req.MidpointSplit,
-		}
-		wl, pred, err := picpredict.PredictFromTrace(ctx, art.tr, models, q)
+		wl, wlHit, err := s.workload(ctx, tq.key(ranks))
 		if err != nil {
 			return nil, http.StatusInternalServerError, err
 		}
-		resp.Results = append(resp.Results, resultOf(wl, pred))
+		pred, err := picpredict.PredictWorkload(models, wl, q)
+		if err != nil {
+			return nil, http.StatusInternalServerError, err
+		}
+		res := resultOf(wl, pred)
+		res.WorkloadCache = cacheLabel(wlHit)
+		resp.Results = append(resp.Results, res)
 	}
 	return resp, http.StatusOK, nil
+}
+
+// workload resolves one trace build through the workload memo. The build
+// runs on its own goroutine under a context cancelled when the last request
+// waiting on it leaves, instrumented into the server's registry.
+func (s *Server) workload(ctx context.Context, key workloadKey) (*picpredict.Workload, bool, error) {
+	return s.wlMemo.get(ctx, key, "", func(ctx context.Context) (*picpredict.Workload, error) {
+		return key.art.tr.GenerateWorkloadContext(obs.With(ctx, s.reg), key.opts)
+	})
 }
 
 // predictWorkload serves the replay path over a pre-generated workload.

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -14,8 +13,9 @@ import (
 // OptimizeRequest is the /v1/optimize body: a configuration grid to price
 // against one trace artefact. Ranks is a grid spec ("8,64,512-8352:x2");
 // the other axes default to the paper baselines. Every model the sweep
-// trains lands in the registry, so an optimize call warms the cache the
-// point /v1/predict path answers from.
+// trains lands in the registry, and every workload it builds in the
+// workload memo, so an optimize call warms the caches the point
+// /v1/predict path answers from.
 type OptimizeRequest struct {
 	// Scenario names the trace artefact to sweep over (default: the
 	// server's first-loaded trace).
@@ -82,8 +82,8 @@ type OptimizeResponse struct {
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	s.runAdmitted(w, r, func(ctx context.Context) (any, int, error) {
 		var req OptimizeRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+		if err := decodeBody(w, r, &req); err != nil {
+			return nil, http.StatusBadRequest, err
 		}
 		req.cacheOnly = r.Header.Get(CacheOnlyHeader) != ""
 		return s.optimize(ctx, &req)
@@ -107,6 +107,9 @@ func (s *Server) optimize(ctx context.Context, req *OptimizeRequest) (*OptimizeR
 	ranks, err := sweep.ParseRanks(req.Ranks)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
+	}
+	if req.Filter < 0 {
+		return nil, http.StatusBadRequest, fmt.Errorf("filter radius %g is negative", req.Filter)
 	}
 	kinds := req.Kinds
 	if req.Model.Kind != "" {
@@ -144,6 +147,10 @@ func (s *Server) optimize(ctx context.Context, req *OptimizeRequest) (*OptimizeR
 		CostWeight:     req.CostWeight,
 		Top:            req.Top,
 		Obs:            s.reg,
+		Workloads: func(ctx context.Context, o picpredict.WorkloadOptions) (*picpredict.Workload, error) {
+			wl, _, err := s.workload(ctx, newWorkloadKey(art, o))
+			return wl, err
+		},
 	}
 	if req.TotalElements > 0 {
 		opts.TotalElements = req.TotalElements

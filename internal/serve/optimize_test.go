@@ -32,10 +32,12 @@ func postOptimize(t *testing.T, url string, body string) (int, []byte) {
 }
 
 // TestOptimizeEndpoint covers the happy path, response shape, cross-call
-// determinism, and the cache-warming contract: models a sweep trains are
-// hits for subsequent point predicts.
+// determinism, and the cache-warming contract: models a sweep trains and
+// workloads it builds are hits for a repeated sweep and for subsequent
+// point predicts.
 func TestOptimizeEndpoint(t *testing.T) {
-	s, st := newTestServer(t, Config{Workers: 2, SweepWorkers: 4, Obs: obs.New()}, 0)
+	reg := obs.New()
+	s, st := newTestServer(t, Config{Workers: 2, SweepWorkers: 4, Obs: reg}, 0)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -100,6 +102,11 @@ func TestOptimizeEndpoint(t *testing.T) {
 	if !reflect.DeepEqual(or.Sweep, or2.Sweep) {
 		t.Error("two identical optimize calls returned different sweep results")
 	}
+	// Both sweeps resolved their 6 builds through the workload memo: the
+	// first built each once, the second built nothing.
+	if misses, hits := reg.Counter(obs.ServeWorkloadCacheMisses).Value(), reg.Counter(obs.ServeWorkloadCacheHits).Value(); misses != 6 || hits != 6 {
+		t.Errorf("workload memo after two sweeps: %d misses, %d hits, want 6 and 6", misses, hits)
+	}
 
 	// Cache warming: a point predict for a swept configuration hits the
 	// models the sweep left resident, with zero additional training.
@@ -113,8 +120,9 @@ func TestOptimizeEndpoint(t *testing.T) {
 		if err := json.Unmarshal(raw, &pr); err != nil {
 			t.Fatal(err)
 		}
-		if pr.Cache != "hit" {
-			t.Errorf("post-sweep predict (%s) cache = %q, want hit (sweep must warm the registry)", kind, pr.Cache)
+		if pr.Cache != "hit" || pr.Results[0].WorkloadCache != "hit" {
+			t.Errorf("post-sweep predict (%s) cache = %q, workload_cache = %q, want hits (sweep must warm both memos)",
+				kind, pr.Cache, pr.Results[0].WorkloadCache)
 		}
 		key := Fingerprint(testCRC, picpredict.ModelKind(kind), picpredict.TrainOptions{Fast: true, Seed: 1})
 		if got := st.count(key); got != 1 {
@@ -143,6 +151,7 @@ func TestOptimizeValidation(t *testing.T) {
 		{"bad kind", `{"ranks":"8","model_kinds":["psychic"]}`, http.StatusBadRequest},
 		{"kind conflict", `{"ranks":"8","model_kinds":["synthetic"],"model":{"kind":"wallclock"}}`, http.StatusBadRequest},
 		{"unknown scenario", `{"scenario":"nope","ranks":"8"}`, http.StatusNotFound},
+		{"negative filter", `{"ranks":"8","filter":-1}`, http.StatusBadRequest},
 	} {
 		status, body := postOptimize(t, ts.URL, tc.body)
 		if status != tc.want {

@@ -1,8 +1,10 @@
 // Package serve is the long-running prediction service behind cmd/picserve:
 // a model registry (trained kernel-model sets keyed by artefact × training
-// configuration, LRU-bounded, singleflight-deduplicated), a bounded worker
-// pool with queue-depth admission control, and the HTTP handlers that
-// expose prediction queries over loaded trace/workload artefacts.
+// configuration, LRU-bounded, singleflight-deduplicated), a workload memo
+// (generated workloads keyed by trace artefact × generator options,
+// bounded by resident bytes), a bounded worker pool with queue-depth
+// admission control, and the HTTP handlers that expose prediction queries
+// over loaded trace/workload artefacts.
 //
 // The paper's value proposition — trained kernel models plus the BSP
 // simulator answer what-if questions far faster than re-running the
@@ -12,13 +14,10 @@
 package serve
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
-	"time"
 
 	"picpredict"
 	"picpredict/internal/obs"
@@ -46,37 +45,23 @@ func Fingerprint(artefactCRC string, kind picpredict.ModelKind, opts picpredict.
 	return ModelKey(hex.EncodeToString(h.Sum(nil)))
 }
 
-// entry is one registry slot. ready is closed when training finishes;
-// before that, models/err/trainNs must not be read. Failed entries are
-// removed from the registry before ready closes, so an error is only ever
-// seen by the waiters already holding the entry — the next request retrains.
-type entry struct {
-	key  ModelKey
-	kind picpredict.ModelKind
-	elem *list.Element
-
-	ready   chan struct{}
-	models  picpredict.Models
-	err     error
-	trainNs int64
-
-	// mutable under Registry.mu.
-	hits int64
-}
-
 // Registry is the model cache at the heart of the serving layer: trained
 // model sets in a size-bounded LRU with singleflight deduplication, so N
 // concurrent requests for an untrained configuration trigger exactly one
 // training run and the hot configurations of a long-running server stay
-// resident.
+// resident. It is the detached instance of the server's memo: every model
+// set costs 1 against the capacity, and training runs on the registry's
+// lifecycle context, never a request's.
 type Registry struct {
-	capacity int
-	life     context.Context
-	reg      *obs.Registry
+	m *memo[ModelKey, picpredict.Models]
+}
 
-	mu      sync.Mutex
-	entries map[ModelKey]*entry
-	order   *list.List // front = most recently used
+// modelMemoNames are the registry's obs instruments.
+var modelMemoNames = memoNames{
+	hits:      obs.ServeCacheHits,
+	misses:    obs.ServeCacheMisses,
+	evictions: obs.ServeCacheEvictions,
+	buildNs:   obs.ServeTrainNs,
 }
 
 // NewRegistry returns a registry holding at most capacity trained model
@@ -84,16 +69,8 @@ type Registry struct {
 // abort in-flight training. reg (nil-safe) receives hit/miss/eviction
 // counters and training timings.
 func NewRegistry(ctx context.Context, capacity int, reg *obs.Registry) *Registry {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Registry{
-		capacity: capacity,
-		life:     ctx,
-		reg:      reg,
-		entries:  make(map[ModelKey]*entry),
-		order:    list.New(),
-	}
+	one := func(picpredict.Models) int64 { return 1 }
+	return &Registry{m: newMemo[ModelKey](ctx, int64(capacity), true, one, reg, modelMemoNames)}
 }
 
 // GetOrTrain returns the models for key, training them with train on a
@@ -102,25 +79,7 @@ func NewRegistry(ctx context.Context, capacity int, reg *obs.Registry) *Registry
 // whether an entry (ready or in flight) already existed. A cancelled ctx
 // abandons the wait without aborting the training run.
 func (r *Registry) GetOrTrain(ctx context.Context, key ModelKey, kind picpredict.ModelKind, train TrainFunc) (m picpredict.Models, hit bool, err error) {
-	r.mu.Lock()
-	if e := r.entries[key]; e != nil {
-		r.order.MoveToFront(e.elem)
-		e.hits++
-		r.mu.Unlock()
-		r.reg.Counter(obs.ServeCacheHits).Inc()
-		return r.wait(ctx, e)
-	}
-	e := &entry{key: key, kind: kind, ready: make(chan struct{})}
-	e.elem = r.order.PushFront(e)
-	r.entries[key] = e
-	r.evictLocked()
-	r.mu.Unlock()
-	r.reg.Counter(obs.ServeCacheMisses).Inc()
-
-	//lint:allow goleak train runs to completion and closes e.ready; waiters join via wait(ctx, e), so the run is bounded by the training itself
-	go r.train(e, train)
-	m, _, err = r.wait(ctx, e)
-	return m, false, err
+	return r.m.get(ctx, key, string(kind), train)
 }
 
 // Peek returns the models for key without ever starting a training run: a
@@ -129,89 +88,11 @@ func (r *Registry) GetOrTrain(ctx context.Context, key ModelKey, kind picpredict
 // behind hedged gate attempts — a hedge exists to shave tail latency, so it
 // must never pay a cold training bill on a replica.
 func (r *Registry) Peek(ctx context.Context, key ModelKey) (m picpredict.Models, ok bool, err error) {
-	r.mu.Lock()
-	e := r.entries[key]
-	if e == nil {
-		r.mu.Unlock()
-		return picpredict.Models{}, false, nil
-	}
-	r.order.MoveToFront(e.elem)
-	e.hits++
-	r.mu.Unlock()
-	r.reg.Counter(obs.ServeCacheHits).Inc()
-	m, _, err = r.wait(ctx, e)
-	return m, true, err
-}
-
-// train runs one training job for e and publishes the result. On failure
-// the entry is removed before ready closes, so only the waiters already
-// attached observe the error and the key retrains on its next request.
-func (r *Registry) train(e *entry, train TrainFunc) {
-	t0 := time.Now()
-	m, err := train(r.life)
-	e.trainNs = time.Since(t0).Nanoseconds()
-	r.reg.Timer(obs.ServeTrainNs).Observe(time.Duration(e.trainNs))
-	r.mu.Lock()
-	e.models, e.err = m, err
-	if err != nil {
-		r.removeLocked(e)
-	}
-	r.mu.Unlock()
-	close(e.ready)
-}
-
-// wait blocks until e is trained or ctx is cancelled.
-func (r *Registry) wait(ctx context.Context, e *entry) (picpredict.Models, bool, error) {
-	select {
-	case <-e.ready:
-		return e.models, true, e.err
-	case <-ctx.Done():
-		return picpredict.Models{}, true, ctx.Err()
-	}
-}
-
-// evictLocked enforces the capacity bound, dropping least-recently-used
-// *completed* entries. In-flight entries are skipped — evicting one would
-// let a concurrent request for the same key start a duplicate training run,
-// exactly what singleflight exists to prevent — so the registry may briefly
-// exceed capacity while more than capacity trainings are in flight.
-func (r *Registry) evictLocked() {
-	for len(r.entries) > r.capacity {
-		evicted := false
-		for el := r.order.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*entry)
-			select {
-			case <-e.ready:
-			default:
-				continue // in flight; skip
-			}
-			r.removeLocked(e)
-			r.reg.Counter(obs.ServeCacheEvictions).Inc()
-			evicted = true
-			break
-		}
-		if !evicted {
-			return
-		}
-	}
-}
-
-// removeLocked drops e from the map and LRU order. Idempotent: a failed
-// entry may already be gone when eviction walks the list.
-func (r *Registry) removeLocked(e *entry) {
-	if _, ok := r.entries[e.key]; !ok {
-		return
-	}
-	delete(r.entries, e.key)
-	r.order.Remove(e.elem)
+	return r.m.peek(ctx, key)
 }
 
 // Len returns the number of resident entries (in-flight included).
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
+func (r *Registry) Len() int { return r.m.len() }
 
 // EntryInfo is one registry slot frozen for /v1/models.
 type EntryInfo struct {
@@ -225,19 +106,14 @@ type EntryInfo struct {
 
 // Entries snapshots the registry in most-recently-used-first order.
 func (r *Registry) Entries() []EntryInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]EntryInfo, 0, len(r.entries))
-	for el := r.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		info := EntryInfo{Key: e.key, Kind: e.kind, State: "training", Hits: e.hits}
-		select {
-		case <-e.ready:
-			info.State = "ready"
-			info.TrainMs = float64(e.trainNs) / 1e6
-		default:
+	snap := r.m.snapshot()
+	out := make([]EntryInfo, len(snap))
+	for i, e := range snap {
+		out[i] = EntryInfo{Key: e.key, Kind: picpredict.ModelKind(e.label), State: "training", Hits: e.hits}
+		if e.ready {
+			out[i].State = "ready"
+			out[i].TrainMs = float64(e.buildNs) / 1e6
 		}
-		out = append(out, info)
 	}
 	return out
 }

@@ -12,169 +12,228 @@ import (
 	"picpredict/internal/obs"
 )
 
-// TestSingleflightCollapses proves the registry's core guarantee: N
-// concurrent requests for one untrained configuration trigger exactly one
-// training run, and every caller gets its result.
-func TestSingleflightCollapses(t *testing.T) {
-	reg := obs.New()
-	r := NewRegistry(context.Background(), 4, reg)
-	var trains atomic.Int64
-	train := func(ctx context.Context) (picpredict.Models, error) {
-		if ctx.Err() != nil {
-			return picpredict.Models{}, ctx.Err()
-		}
-		trains.Add(1)
-		time.Sleep(50 * time.Millisecond) // widen the collapse window
-		return picpredict.Models{}, nil
-	}
-	key := Fingerprint("crc-a", picpredict.ModelSynthetic, picpredict.TrainOptions{Seed: 1})
+// memoInstance is one of the server's two caches under a test-controlled
+// build: get resolves key, running build on a miss.
+type memoInstance struct {
+	names memoNames
+	get   func(ctx context.Context, key string, build func(context.Context) error) (hit bool, err error)
+	len   func() int
+}
 
-	const n = 32
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, err := r.GetOrTrain(context.Background(), key, picpredict.ModelSynthetic, train)
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("caller %d: %v", i, err)
+// memoKinds opens each of the server's caches with room for capacity
+// entries: the model registry (each model set costs 1) and the workload
+// memo, whose every build returns the same small workload, so capacity
+// entries of its resident bytes fill it exactly.
+var memoKinds = []struct {
+	name string
+	open func(t *testing.T, capacity int, reg *obs.Registry) memoInstance
+}{
+	{"models", func(_ *testing.T, capacity int, reg *obs.Registry) memoInstance {
+		r := NewRegistry(context.Background(), capacity, reg)
+		return memoInstance{
+			names: modelMemoNames,
+			get: func(ctx context.Context, key string, build func(context.Context) error) (bool, error) {
+				_, hit, err := r.GetOrTrain(ctx, Fingerprint(key, picpredict.ModelSynthetic, picpredict.TrainOptions{}),
+					picpredict.ModelSynthetic, func(ctx context.Context) (picpredict.Models, error) {
+						return picpredict.Models{}, build(ctx)
+					})
+				return hit, err
+			},
+			len: r.Len,
 		}
-	}
-	if got := trains.Load(); got != 1 {
-		t.Fatalf("%d concurrent identical misses ran %d training runs, want exactly 1", n, got)
-	}
-	if hits := reg.Counter(obs.ServeCacheHits).Value(); hits != n-1 {
-		t.Errorf("cache hits = %d, want %d (every caller but the first)", hits, n-1)
-	}
-	if misses := reg.Counter(obs.ServeCacheMisses).Value(); misses != 1 {
-		t.Errorf("cache misses = %d, want 1", misses)
+	}},
+	{"workloads", func(t *testing.T, capacity int, reg *obs.Registry) memoInstance {
+		wl := testWorkload(t)
+		m := newWorkloadMemo(context.Background(), int64(capacity)*wl.ResidentBytes(), reg)
+		return memoInstance{
+			names: workloadMemoNames,
+			get: func(ctx context.Context, key string, build func(context.Context) error) (bool, error) {
+				k := workloadKey{opts: picpredict.WorkloadOptions{Mapping: picpredict.MappingKind(key)}}
+				_, hit, err := m.get(ctx, k, "", func(ctx context.Context) (*picpredict.Workload, error) {
+					if err := build(ctx); err != nil {
+						return nil, err
+					}
+					return wl, nil
+				})
+				return hit, err
+			},
+			len: m.len,
+		}
+	}},
+}
+
+// TestSingleflightCollapses proves the memo's core guarantee: N concurrent
+// requests for one absent key trigger exactly one build, and every caller
+// gets its result.
+func TestSingleflightCollapses(t *testing.T) {
+	for _, kind := range memoKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			reg := obs.New()
+			m := kind.open(t, 4, reg)
+			var builds atomic.Int64
+			build := func(ctx context.Context) error {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				builds.Add(1)
+				time.Sleep(50 * time.Millisecond) // widen the collapse window
+				return nil
+			}
+
+			const n = 32
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					_, errs[i] = m.get(context.Background(), "a", build)
+				}(i)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("caller %d: %v", i, err)
+				}
+			}
+			if got := builds.Load(); got != 1 {
+				t.Fatalf("%d concurrent identical misses ran %d builds, want exactly 1", n, got)
+			}
+			if hits := reg.Counter(m.names.hits).Value(); hits != n-1 {
+				t.Errorf("cache hits = %d, want %d (every caller but the first)", hits, n-1)
+			}
+			if misses := reg.Counter(m.names.misses).Value(); misses != 1 {
+				t.Errorf("cache misses = %d, want 1", misses)
+			}
+		})
 	}
 }
 
 // TestLRUEviction exercises the capacity bound: the least-recently-used
-// completed entry is dropped, and a re-request retrains it.
+// completed entry is dropped, and a re-request rebuilds it.
 func TestLRUEviction(t *testing.T) {
-	reg := obs.New()
-	r := NewRegistry(context.Background(), 2, reg)
-	var trains atomic.Int64
-	train := func(ctx context.Context) (picpredict.Models, error) {
-		if ctx.Err() != nil {
-			return picpredict.Models{}, ctx.Err()
-		}
-		trains.Add(1)
-		return picpredict.Models{}, nil
-	}
-	key := func(s string) ModelKey {
-		return Fingerprint(s, picpredict.ModelSynthetic, picpredict.TrainOptions{})
-	}
+	for _, kind := range memoKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			reg := obs.New()
+			m := kind.open(t, 2, reg)
+			var builds atomic.Int64
+			build := func(ctx context.Context) error {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				builds.Add(1)
+				return nil
+			}
 
-	for _, k := range []string{"a", "b", "c"} {
-		if _, hit, err := r.GetOrTrain(context.Background(), key(k), picpredict.ModelSynthetic, train); err != nil || hit {
-			t.Fatalf("training %s: hit=%t err=%v", k, hit, err)
-		}
-	}
-	if got := r.Len(); got != 2 {
-		t.Fatalf("registry holds %d entries over capacity 2", got)
-	}
-	if ev := reg.Counter(obs.ServeCacheEvictions).Value(); ev != 1 {
-		t.Fatalf("evictions = %d, want 1", ev)
-	}
-	// "a" was least recently used and must be gone; re-requesting retrains
-	// (and evicts "b", now the LRU of [c, b]).
-	if _, hit, err := r.GetOrTrain(context.Background(), key("a"), picpredict.ModelSynthetic, train); err != nil || hit {
-		t.Fatalf("re-request of evicted key: hit=%t err=%v, want a miss", hit, err)
-	}
-	if got := trains.Load(); got != 4 {
-		t.Fatalf("training runs = %d, want 4 (a, b, c, a again)", got)
-	}
-	// "c" survived both evictions: touching it is a hit.
-	if _, hit, err := r.GetOrTrain(context.Background(), key("c"), picpredict.ModelSynthetic, train); err != nil || !hit {
-		t.Fatalf("surviving key: hit=%t err=%v, want a hit", hit, err)
-	}
-	if ev := reg.Counter(obs.ServeCacheEvictions).Value(); ev != 2 {
-		t.Fatalf("evictions = %d, want 2", ev)
+			for _, k := range []string{"a", "b", "c"} {
+				if hit, err := m.get(context.Background(), k, build); err != nil || hit {
+					t.Fatalf("building %s: hit=%t err=%v", k, hit, err)
+				}
+			}
+			if got := m.len(); got != 2 {
+				t.Fatalf("memo holds %d entries over capacity 2", got)
+			}
+			if ev := reg.Counter(m.names.evictions).Value(); ev != 1 {
+				t.Fatalf("evictions = %d, want 1", ev)
+			}
+			// "a" was least recently used and must be gone; re-requesting
+			// rebuilds (and evicts "b", now the LRU of [c, b]).
+			if hit, err := m.get(context.Background(), "a", build); err != nil || hit {
+				t.Fatalf("re-request of evicted key: hit=%t err=%v, want a miss", hit, err)
+			}
+			if got := builds.Load(); got != 4 {
+				t.Fatalf("builds = %d, want 4 (a, b, c, a again)", got)
+			}
+			// "c" survived both evictions: touching it is a hit.
+			if hit, err := m.get(context.Background(), "c", build); err != nil || !hit {
+				t.Fatalf("surviving key: hit=%t err=%v, want a hit", hit, err)
+			}
+			if ev := reg.Counter(m.names.evictions).Value(); ev != 2 {
+				t.Fatalf("evictions = %d, want 2", ev)
+			}
+		})
 	}
 }
 
-// TestFailedTrainingNotCached: a failed run must not poison the key — only
-// the waiters attached to the failed attempt see its error, and the next
-// request retrains.
+// TestFailedTrainingNotCached: a failed build must not poison the key —
+// only the waiters attached to the failed attempt see its error, and the
+// next request rebuilds.
 func TestFailedTrainingNotCached(t *testing.T) {
-	r := NewRegistry(context.Background(), 2, nil)
-	var trains atomic.Int64
-	boom := errors.New("boom")
-	failing := func(ctx context.Context) (picpredict.Models, error) {
-		if ctx.Err() != nil {
-			return picpredict.Models{}, ctx.Err()
-		}
-		trains.Add(1)
-		return picpredict.Models{}, boom
-	}
-	key := Fingerprint("crc", picpredict.ModelSynthetic, picpredict.TrainOptions{})
-	if _, _, err := r.GetOrTrain(context.Background(), key, picpredict.ModelSynthetic, failing); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if got := r.Len(); got != 0 {
-		t.Fatalf("failed entry still resident (len %d)", got)
-	}
-	ok := func(ctx context.Context) (picpredict.Models, error) {
-		if ctx.Err() != nil {
-			return picpredict.Models{}, ctx.Err()
-		}
-		trains.Add(1)
-		return picpredict.Models{}, nil
-	}
-	if _, hit, err := r.GetOrTrain(context.Background(), key, picpredict.ModelSynthetic, ok); err != nil || hit {
-		t.Fatalf("retry after failure: hit=%t err=%v, want a fresh miss", hit, err)
-	}
-	if got := trains.Load(); got != 2 {
-		t.Fatalf("training runs = %d, want 2", got)
+	for _, kind := range memoKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			m := kind.open(t, 2, nil)
+			var builds atomic.Int64
+			boom := errors.New("boom")
+			failing := func(ctx context.Context) error {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				builds.Add(1)
+				return boom
+			}
+			if _, err := m.get(context.Background(), "k", failing); !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want boom", err)
+			}
+			if got := m.len(); got != 0 {
+				t.Fatalf("failed entry still resident (len %d)", got)
+			}
+			ok := func(ctx context.Context) error {
+				if ctx.Err() != nil {
+					return ctx.Err()
+				}
+				builds.Add(1)
+				return nil
+			}
+			if hit, err := m.get(context.Background(), "k", ok); err != nil || hit {
+				t.Fatalf("retry after failure: hit=%t err=%v, want a fresh miss", hit, err)
+			}
+			if got := builds.Load(); got != 2 {
+				t.Fatalf("builds = %d, want 2", got)
+			}
+		})
 	}
 }
 
 // TestWaitCancellation: a caller abandoning the wait does not abort the
-// training run other callers depend on.
+// build another caller still waits on.
 func TestWaitCancellation(t *testing.T) {
-	r := NewRegistry(context.Background(), 2, nil)
-	release := make(chan struct{})
-	train := func(ctx context.Context) (picpredict.Models, error) {
-		select {
-		case <-release:
-			return picpredict.Models{}, nil
-		case <-ctx.Done():
-			return picpredict.Models{}, ctx.Err()
-		}
-	}
-	key := Fingerprint("crc", picpredict.ModelSynthetic, picpredict.TrainOptions{})
+	for _, kind := range memoKinds {
+		t.Run(kind.name, func(t *testing.T) {
+			m := kind.open(t, 2, nil)
+			building, release := make(chan struct{}), make(chan struct{})
+			build := func(ctx context.Context) error {
+				close(building)
+				select {
+				case <-release:
+					return nil
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
 
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		close(started)
-		_, _, err := r.GetOrTrain(context.Background(), key, picpredict.ModelSynthetic, train)
-		done <- err
-	}()
-	<-started
+			done := make(chan error, 1)
+			go func() {
+				_, err := m.get(context.Background(), "k", build)
+				done <- err
+			}()
+			<-building // the patient caller owns the in-flight entry
 
-	// A second caller with an already-cancelled context leaves immediately.
-	cancelled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := r.GetOrTrain(cancelled, key, picpredict.ModelSynthetic, train); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
-	}
+			// A second caller with an already-cancelled context leaves
+			// immediately.
+			cancelled, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := m.get(cancelled, "k", build); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
+			}
 
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("patient caller: %v", err)
-	}
-	if got := r.Len(); got != 1 {
-		t.Fatalf("entry count = %d, want 1 (training survived the cancelled waiter)", got)
+			close(release)
+			if err := <-done; err != nil {
+				t.Fatalf("patient caller: %v", err)
+			}
+			if got := m.len(); got != 1 {
+				t.Fatalf("entry count = %d, want 1 (the build survived the cancelled waiter)", got)
+			}
+		})
 	}
 }
 

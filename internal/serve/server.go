@@ -98,15 +98,39 @@ type workloadArtefact struct {
 	crc  string
 }
 
+// workloadMemoBytes is the workload memo's budget, charged per entry at
+// the workload's resident bytes (8 B per dense computation cell, 16 B per
+// sealed communication entry). One paper-scale rank count — R = 8352 over
+// 100 sampled frames with ghosts on — holds 8352 × 100 × 2 × 8 B ≈ 12.7 MiB
+// of dense rows plus its comm entries, so 256 MiB keeps the working set of
+// a dozen or more such builds (or hundreds of small ones) resident beside
+// a server's traces and trained models.
+const workloadMemoBytes = 256 << 20
+
+// workloadMemoNames are the workload memo's obs instruments.
+var workloadMemoNames = memoNames{
+	hits:      obs.ServeWorkloadCacheHits,
+	misses:    obs.ServeWorkloadCacheMisses,
+	evictions: obs.ServeWorkloadCacheEvictions,
+	buildNs:   obs.ServeWorkloadBuildNs,
+}
+
+// newWorkloadMemo returns the server's workload memo: an attached memo (a
+// build is cancelled when its last waiter leaves) charging each workload
+// its resident bytes against capacity.
+func newWorkloadMemo(life context.Context, capacity int64, reg *obs.Registry) *memo[workloadKey, *picpredict.Workload] {
+	return newMemo[workloadKey](life, capacity, false, (*picpredict.Workload).ResidentBytes, reg, workloadMemoNames)
+}
+
 // trainerFunc trains a model set; swapped out by tests to avoid real
 // training runs.
 type trainerFunc func(ctx context.Context, kind picpredict.ModelKind, opts picpredict.TrainOptions) (picpredict.Models, error)
 
 // Server is the long-running prediction service: loaded artefacts, the
-// model registry, the admission-controlled worker pool, and the HTTP
-// endpoints over them. Build one with New, register artefacts with
-// AddTrace/AddWorkload, then either run the full lifecycle with Serve or
-// mount Handler on an external server (tests use httptest).
+// model registry, the workload memo, the admission-controlled worker pool,
+// and the HTTP endpoints over them. Build one with New, register artefacts
+// with AddTrace/AddWorkload, then either run the full lifecycle with Serve
+// or mount Handler on an external server (tests use httptest).
 type Server struct {
 	cfg Config
 	reg *obs.Registry
@@ -116,6 +140,7 @@ type Server struct {
 	defaultTrace string
 
 	registry   *Registry
+	wlMemo     *memo[workloadKey, *picpredict.Workload]
 	cancelLife context.CancelFunc
 	pool       *pool
 	trainer    trainerFunc
@@ -145,6 +170,7 @@ func New(cfg Config) *Server {
 		traces:     make(map[string]*traceArtefact),
 		workloads:  make(map[string]*workloadArtefact),
 		registry:   NewRegistry(life, cfg.ModelCapacity, cfg.Obs),
+		wlMemo:     newWorkloadMemo(life, workloadMemoBytes, cfg.Obs),
 		cancelLife: cancel,
 		pool:       newPool(cfg.Workers, cfg.Queue),
 		trainer: func(_ context.Context, kind picpredict.ModelKind, opts picpredict.TrainOptions) (picpredict.Models, error) {
@@ -164,7 +190,9 @@ func New(cfg Config) *Server {
 
 // AddTrace registers a loaded trace artefact under name; crc is its content
 // checksum (it keys the model registry). The first trace added is the
-// default scenario for requests that name none.
+// default scenario for requests that name none. A registered trace is never
+// mutated — neither here nor by the caller afterwards — since the workloads
+// built from it are memoized under the registration itself.
 func (s *Server) AddTrace(name string, tr *picpredict.Trace, crc string) error {
 	if name == "" {
 		return errors.New("serve: trace artefact needs a name")

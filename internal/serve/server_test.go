@@ -47,7 +47,7 @@ var (
 	cachedTrEr error
 )
 
-func testTrace(t *testing.T) *picpredict.Trace {
+func testTrace(t testing.TB) *picpredict.Trace {
 	t.Helper()
 	traceOnce.Do(func() {
 		sc := picpredict.HeleShaw().WithParticles(120).WithSteps(20).WithSampleEvery(5)
@@ -57,6 +57,28 @@ func testTrace(t *testing.T) *picpredict.Trace {
 		t.Fatalf("building test trace: %v", cachedTrEr)
 	}
 	return cachedTr
+}
+
+// testWorkload generates one small workload from the test trace for the
+// binary — a value for memo tests to hand out.
+var (
+	workloadOnce sync.Once
+	cachedWl     *picpredict.Workload
+	cachedWlErr  error
+)
+
+func testWorkload(t *testing.T) *picpredict.Workload {
+	t.Helper()
+	tr := testTrace(t)
+	workloadOnce.Do(func() {
+		cachedWl, cachedWlErr = tr.GenerateWorkload(picpredict.WorkloadOptions{
+			Ranks: 8, Mapping: picpredict.MappingBin, FilterRadius: 0.004,
+		})
+	})
+	if cachedWlErr != nil {
+		t.Fatalf("building test workload: %v", cachedWlErr)
+	}
+	return cachedWl
 }
 
 // stubTrainer counts training runs per model key and returns the shared
@@ -166,6 +188,7 @@ func TestEndpoints(t *testing.T) {
 		{"unknown mapping", `{"ranks":[8],"mapping":"zigzag"}`, http.StatusBadRequest},
 		{"unknown machine", `{"ranks":[8],"machine":"cray"}`, http.StatusBadRequest},
 		{"unknown model kind", `{"ranks":[8],"model":{"kind":"psychic"}}`, http.StatusBadRequest},
+		{"negative filter", `{"ranks":[8],"filter":-1}`, http.StatusBadRequest},
 	} {
 		status, body := postPredict(t, ts.URL, tc.body)
 		if status != tc.want {

@@ -2,14 +2,15 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
-// The workload generator pools per-worker partial matrices across frames:
-// each frame is Reset, refilled, and merged. These tests pin the reuse
-// contract — Reset must leave no stale state observable through any reader,
-// and a reset matrix must keep growing and accumulating exactly like a
-// fresh one.
+// The workload generator pools its accumulators across frames: each frame
+// is Reset, refilled, merged and sealed. These tests pin the reuse
+// contract — Reset must leave no stale state observable through any reader
+// of the sealed matrix, and a reset accumulator must keep growing and
+// accumulating exactly like a fresh one.
 
 // fillOp is one Add applied to a matrix under test.
 type fillOp struct {
@@ -17,7 +18,7 @@ type fillOp struct {
 	n        int64
 }
 
-func apply(t *testing.T, m *Matrix, ops []fillOp) {
+func apply(t *testing.T, m *Acc, ops []fillOp) {
 	t.Helper()
 	for _, op := range ops {
 		if err := m.Add(op.src, op.dst, op.n); err != nil {
@@ -82,21 +83,29 @@ func TestResetReuse(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewMatrix(tc.ranks)
-			apply(t, m, tc.first)
-			m.Reset()
+			acc := NewAcc(tc.ranks)
+			apply(t, acc, tc.first)
+			stale := acc.Seal()
+			acc.Reset()
 
-			if got := m.NumNonZero(); got != 0 {
+			empty := acc.Seal()
+			if got := empty.NumNonZero(); got != 0 {
 				t.Fatalf("NumNonZero after Reset = %d, want 0", got)
 			}
-			if got := m.Total(); got != 0 {
+			if got := empty.Total(); got != 0 {
 				t.Fatalf("Total after Reset = %d, want 0", got)
 			}
-			if got := len(m.Entries()); got != 0 {
+			if got := len(empty.Entries()); got != 0 {
 				t.Fatalf("Entries after Reset = %d elements, want none", got)
 			}
 
-			apply(t, m, tc.second)
+			apply(t, acc, tc.second)
+			m := acc.Seal()
+			// A matrix sealed before the Reset shares nothing with the
+			// accumulator: the refill must not show through it.
+			if !slices.Equal(stale.Entries(), opsEntries(tc.ranks, tc.first)) {
+				t.Errorf("matrix sealed before Reset changed to %v", stale.Entries())
+			}
 
 			if got, want := len(m.Entries()), len(tc.entries); got != want {
 				t.Fatalf("entries after refill = %v, want %v", m.Entries(), tc.entries)
@@ -111,8 +120,9 @@ func TestResetReuse(t *testing.T) {
 			}
 			// Every cell must match a fresh matrix given the same fill: the
 			// reused storage is an optimisation, never an observable.
-			fresh := NewMatrix(tc.ranks)
-			apply(t, fresh, tc.second)
+			freshAcc := NewAcc(tc.ranks)
+			apply(t, freshAcc, tc.second)
+			fresh := freshAcc.Seal()
 			for src := 0; src < tc.ranks; src++ {
 				if got, want := m.RowSum(src), fresh.RowSum(src); got != want {
 					t.Errorf("RowSum(%d) = %d after reuse, fresh matrix has %d", src, got, want)
@@ -131,12 +141,12 @@ func TestResetReuse(t *testing.T) {
 }
 
 // TestResetAccumulatorCycle mirrors the generator's actual pooling pattern:
-// one partial matrix is reset and refilled per frame, each frame merged
-// into a per-frame aggregate with AddInto. Totals must match what
-// independent per-frame matrices would produce.
+// one partial accumulator is reset and refilled per frame, each frame
+// merged into a per-frame aggregate with AddInto and sealed. Totals must
+// match what independent per-frame matrices would produce.
 func TestResetAccumulatorCycle(t *testing.T) {
 	const ranks, frames = 6, 4
-	partial := NewMatrix(ranks)
+	partial := NewAcc(ranks)
 	var got []string
 	for f := 0; f < frames; f++ {
 		partial.Reset()
@@ -147,10 +157,11 @@ func TestResetAccumulatorCycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		agg := NewMatrix(ranks)
-		if err := partial.AddInto(agg); err != nil {
+		acc := NewAcc(ranks)
+		if err := partial.AddInto(acc); err != nil {
 			t.Fatal(err)
 		}
+		agg := acc.Seal()
 		got = append(got, fmt.Sprintf("frame=%d total=%d nnz=%d", f, agg.Total(), agg.NumNonZero()))
 	}
 	want := []string{
@@ -164,4 +175,13 @@ func TestResetAccumulatorCycle(t *testing.T) {
 			t.Errorf("cycle %d: got %q, want %q", i, got[i], want[i])
 		}
 	}
+}
+
+// opsEntries is the sorted entry list a fresh fill of ops produces.
+func opsEntries(ranks int, ops []fillOp) []Entry {
+	acc := NewAcc(ranks)
+	for _, op := range ops {
+		_ = acc.Add(op.src, op.dst, op.n)
+	}
+	return acc.Seal().Entries()
 }

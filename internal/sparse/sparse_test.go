@@ -7,13 +7,14 @@ import (
 )
 
 func TestAddGet(t *testing.T) {
-	m := NewMatrix(4)
-	if err := m.Add(1, 2, 5); err != nil {
+	a := NewAcc(4)
+	if err := a.Add(1, 2, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Add(1, 2, 3); err != nil {
+	if err := a.Add(1, 2, 3); err != nil {
 		t.Fatal(err)
 	}
+	m := a.Seal()
 	if got := m.Get(1, 2); got != 8 {
 		t.Errorf("Get = %d, want 8", got)
 	}
@@ -26,33 +27,33 @@ func TestAddGet(t *testing.T) {
 }
 
 func TestAddBounds(t *testing.T) {
-	m := NewMatrix(4)
+	a := NewAcc(4)
 	for _, c := range [][2]int{{-1, 0}, {0, -1}, {4, 0}, {0, 4}} {
-		if err := m.Add(c[0], c[1], 1); err == nil {
+		if err := a.Add(c[0], c[1], 1); err == nil {
 			t.Errorf("Add(%d,%d) accepted", c[0], c[1])
 		}
 	}
-	if got := m.Get(-1, 0); got != 0 {
+	if got := a.Seal().Get(-1, 0); got != 0 {
 		t.Errorf("out-of-range Get = %d", got)
 	}
 }
 
 func TestZeroEntriesPruned(t *testing.T) {
-	m := NewMatrix(4)
-	_ = m.Add(0, 1, 5)
-	_ = m.Add(0, 1, -5)
-	if m.NumNonZero() != 0 {
-		t.Errorf("NumNonZero = %d after cancelling, want 0", m.NumNonZero())
+	a := NewAcc(4)
+	_ = a.Add(0, 1, 5)
+	_ = a.Add(0, 1, -5)
+	if m := a.Seal(); m.NumNonZero() != 0 || len(m.Entries()) != 0 {
+		t.Errorf("sealed matrix keeps %d entries after cancelling, want 0", m.NumNonZero())
 	}
 }
 
 func TestEntriesSorted(t *testing.T) {
-	m := NewMatrix(8)
-	_ = m.Add(5, 1, 1)
-	_ = m.Add(0, 7, 2)
-	_ = m.Add(5, 0, 3)
-	_ = m.Add(0, 2, 4)
-	es := m.Entries()
+	a := NewAcc(8)
+	_ = a.Add(5, 1, 1)
+	_ = a.Add(0, 7, 2)
+	_ = a.Add(5, 0, 3)
+	_ = a.Add(0, 2, 4)
+	es := a.Seal().Entries()
 	if len(es) != 4 {
 		t.Fatalf("Entries len = %d", len(es))
 	}
@@ -65,10 +66,11 @@ func TestEntriesSorted(t *testing.T) {
 }
 
 func TestRowColSumsAndTotal(t *testing.T) {
-	m := NewMatrix(4)
-	_ = m.Add(0, 1, 3)
-	_ = m.Add(0, 2, 4)
-	_ = m.Add(3, 0, 5)
+	a := NewAcc(4)
+	_ = a.Add(0, 1, 3)
+	_ = a.Add(0, 2, 4)
+	_ = a.Add(3, 0, 5)
+	m := a.Seal()
 	if got := m.RowSum(0); got != 7 {
 		t.Errorf("RowSum(0) = %d", got)
 	}
@@ -81,28 +83,31 @@ func TestRowColSumsAndTotal(t *testing.T) {
 }
 
 func TestAddInto(t *testing.T) {
-	a, b := NewMatrix(4), NewMatrix(4)
+	a, b := NewAcc(4), NewAcc(4)
 	_ = a.Add(0, 1, 1)
 	_ = b.Add(0, 1, 2)
 	_ = b.Add(2, 3, 7)
 	if err := b.AddInto(a); err != nil {
 		t.Fatal(err)
 	}
-	if a.Get(0, 1) != 3 || a.Get(2, 3) != 7 {
-		t.Errorf("AddInto result wrong: %v", a.Entries())
+	if m := a.Seal(); m.Get(0, 1) != 3 || m.Get(2, 3) != 7 {
+		t.Errorf("AddInto result wrong: %v", m.Entries())
 	}
-	if err := NewMatrix(3).AddInto(a); err == nil {
+	if err := NewAcc(3).AddInto(a); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }
 
 func TestSeries(t *testing.T) {
 	s := NewSeries(4)
-	m0 := s.Append()
-	_ = m0.Add(0, 1, 2)
-	m1 := s.Append()
-	_ = m1.Add(1, 0, 3)
-	_ = m1.Add(0, 1, 1)
+	a := NewAcc(4)
+	_ = a.Add(0, 1, 2)
+	m0 := a.Seal()
+	s.Append(m0)
+	a.Reset()
+	_ = a.Add(1, 0, 3)
+	_ = a.Add(0, 1, 1)
+	s.Append(a.Seal())
 	if s.Frames() != 2 || s.Ranks() != 4 {
 		t.Fatalf("Frames/Ranks = %d/%d", s.Frames(), s.Ranks())
 	}
@@ -117,6 +122,9 @@ func TestSeries(t *testing.T) {
 	if s.At(0) != m0 {
 		t.Error("At(0) is not the appended matrix")
 	}
+	if s.NumNonZero() != 3 {
+		t.Errorf("NumNonZero = %d, want 3", s.NumNonZero())
+	}
 }
 
 func TestTotalMatchesEntriesProperty(t *testing.T) {
@@ -124,12 +132,13 @@ func TestTotalMatchesEntriesProperty(t *testing.T) {
 		Src, Dst uint8
 		N        int16
 	}) bool {
-		m := NewMatrix(256)
+		acc := NewAcc(256)
 		for _, a := range adds {
-			if err := m.Add(int(a.Src), int(a.Dst), int64(a.N)); err != nil {
+			if err := acc.Add(int(a.Src), int(a.Dst), int64(a.N)); err != nil {
 				return false
 			}
 		}
+		m := acc.Seal()
 		var sum int64
 		for _, e := range m.Entries() {
 			sum += e.Count
@@ -144,13 +153,14 @@ func TestTotalMatchesEntriesProperty(t *testing.T) {
 // MaxOver agrees bit for bit with the same max taken over the sorted
 // entries, sees every entry exactly once, and allocates nothing.
 func TestMaxOverMatchesSortedFold(t *testing.T) {
-	m := NewMatrix(16)
-	if got := m.MaxOver(0.5, func(Entry) float64 { return 9 }); got != 0.5 {
+	acc := NewAcc(16)
+	if got := acc.Seal().MaxOver(0.5, func(Entry) float64 { return 9 }); got != 0.5 {
 		t.Errorf("empty matrix: MaxOver = %v, want the floor 0.5", got)
 	}
 	for i := 0; i < 40; i++ {
-		_ = m.Add((i*7)%16, (i*5+3)%16, int64(i%9+1))
+		_ = acc.Add((i*7)%16, (i*5+3)%16, int64(i%9+1))
 	}
+	m := acc.Seal()
 	f := func(e Entry) float64 { return float64(e.Count)*1.5 + float64(e.Src)/16 - float64(e.Dst)/64 }
 	for _, floor := range []float64{0, 3, 100} {
 		want := floor

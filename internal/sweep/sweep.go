@@ -235,6 +235,11 @@ type Result struct {
 // TrainModelsKind.
 type ModelsFunc func(ctx context.Context, kind picpredict.ModelKind) (picpredict.Models, error)
 
+// WorkloadFunc resolves one workload build. The serving layer backs it
+// with its workload memo, so a sweep's builds are shared with later point
+// predicts and repeated sweeps.
+type WorkloadFunc func(ctx context.Context, opts picpredict.WorkloadOptions) (*picpredict.Workload, error)
+
 // Options tunes one sweep run.
 type Options struct {
 	// Filter, RelaxedBins, and MidpointSplit configure the Dynamic
@@ -261,6 +266,9 @@ type Options struct {
 	// Top truncates the returned frontier (0 keeps every point). Fastest,
 	// Knee, and Curves always consider all points.
 	Top int
+	// Workloads resolves each shared build; nil generates every build
+	// directly from the trace.
+	Workloads WorkloadFunc
 	// Obs (nil-safe) receives the sweep.* phase timers and counters.
 	Obs *obs.Registry
 	// Stages additionally emits obs stage marks (sweep-enumerate,
@@ -353,9 +361,13 @@ func Run(ctx context.Context, tr *picpredict.Trace, grid Grid, opts Options, mod
 		}
 		modelByKind[k] = m
 	}
+	build := opts.Workloads
+	if build == nil {
+		build = tr.GenerateWorkloadContext
+	}
 	workloads := make([]*picpredict.Workload, len(builds))
 	err = runPool(ctx, opts.Workers, len(builds), func(ctx context.Context, i int) error {
-		wl, err := tr.GenerateWorkloadContext(ctx, picpredict.WorkloadOptions{
+		wl, err := build(ctx, picpredict.WorkloadOptions{
 			Ranks:         builds[i].ranks,
 			Mapping:       builds[i].mapping,
 			Rebalance:     builds[i].rebalance,

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # picgate load harness: measures serving throughput in two topologies and
-# writes the comparison to BENCH_serve.json —
+# writes the comparison, with the commit, Go version, GOMAXPROCS and host
+# cores it ran on, to BENCH_serve.json —
 #
 #   single_node : one picserve, driven directly (no gate);
 #   sharded_3   : three picserve shards behind picgate.
@@ -123,8 +124,12 @@ wait_ready "http://$gate_addr"
     -o "$workdir/sharded.json" || fail "sharded load run failed"
 
 echo "== write $OUT"
+commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
+    commit="$commit-dirty"
+fi
 python3 - "$workdir/single.json" "$workdir/sharded.json" "$OUT" \
-    "$DURATION" "$CONCURRENCY" "$KEYS" <<'PY' || fail "merging stats failed"
+    "$DURATION" "$CONCURRENCY" "$KEYS" "$commit" "$(go env GOVERSION)" <<'PY' || fail "merging stats failed"
 import json, os, sys
 single = json.load(open(sys.argv[1]))
 sharded = json.load(open(sys.argv[2]))
@@ -138,6 +143,11 @@ doc = {
         # Sharding wins require cores for the shards to spread over; on a
         # 1-core host the comparison measures coordination overhead instead.
         "host_cores": os.cpu_count(),
+        # Every process runs with Go's default GOMAXPROCS unless the
+        # environment sets it: the CPUs this process may run on.
+        "gomaxprocs": int(os.environ.get("GOMAXPROCS") or len(os.sched_getaffinity(0))),
+        "go_version": sys.argv[8],
+        "commit": sys.argv[7],
     },
     "single_node": single,
     "sharded_3": sharded,

@@ -84,6 +84,18 @@ assert body["cache"] == "miss", body
 print("   predicted:", ", ".join("R=%d %.3gs" % (r["ranks"], r["total_sec"]) for r in results))
 PY
 
+echo "== identical predict is answered from the workload memo"
+curl -fsS -o "$workdir/predict_again.json" -X POST "$base/v1/predict" \
+    -d '{"scenario":"golden","ranks":[8,16],"mapping":"bin","model":{"fast":true,"seed":1}}' \
+    || fail "repeated /v1/predict failed"
+python3 - "$workdir/predict.json" "$workdir/predict_again.json" <<'PY' || fail "repeated predict differs or missed the workload memo"
+import json, sys
+first, again = (json.load(open(p)) for p in sys.argv[1:3])
+assert [r["total_sec"] for r in again["results"]] == [r["total_sec"] for r in first["results"]], (first, again)
+assert [r["workload_cache"] for r in first["results"]] == ["miss", "miss"], first
+assert [r["workload_cache"] for r in again["results"]] == ["hit", "hit"], again
+PY
+
 echo "== second request hits the model cache"
 curl -fsS -o "$workdir/predict2.json" -X POST "$base/v1/predict" \
     -d '{"scenario":"golden","ranks":[8],"model":{"fast":true,"seed":1}}' \
@@ -108,9 +120,10 @@ with open(sys.argv[1]) as f:
     m = json.load(f)
 assert m["tool"] == "picserve", m.get("tool")
 counters = m.get("counters", {})
-assert counters.get("serve.requests", 0) >= 2, counters
+assert counters.get("serve.requests", 0) >= 3, counters
 assert counters.get("serve.model_cache.misses", 0) == 1, counters
 assert counters.get("serve.model_cache.hits", 0) >= 1, counters
+assert counters.get("serve.workload_cache.hits", 0) >= 1, counters
 PY
 
 echo "PASS: picserve smoke"

@@ -3,9 +3,10 @@
 # question identically through both front ends. It runs `predict -sweep`
 # over the committed golden trace (twice, and at different worker counts —
 # the JSON must be byte-identical), boots picserve, POSTs the same grid to
-# /v1/optimize, and diffs the ranked frontiers: fastest, knee, knee score,
-# and every frontier point must agree exactly between CLI and service.
-# Finishes with a SIGTERM drain. CI runs this; also a local check:
+# /v1/optimize twice (the repeat, answered from the workload memo, must
+# return a byte-identical sweep), and diffs the ranked frontiers: fastest,
+# knee, knee score, and every frontier point must agree exactly between CLI
+# and service. Finishes with a SIGTERM drain. CI runs this; also a local check:
 #
 #   ./scripts/sweep_smoke.sh
 #
@@ -80,14 +81,27 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 
-echo "== POST /v1/optimize with the same grid"
-status=$(curl -sS -o "$workdir/serve.json" -w '%{http_code}' \
-    -X POST "$base/v1/optimize" \
-    -H 'Content-Type: application/json' \
-    -d "{\"scenario\":\"golden\",\"ranks\":\"$SWEEP_RANKS\",\"mappings\":[\"bin\"],
-         \"machines\":[\"quartz\"],\"model_kinds\":[\"synthetic\"],
-         \"filter\":$FILTER,\"top\":$TOP,\"model\":{\"fast\":true,\"seed\":1}}")
+echo "== POST /v1/optimize with the same grid (twice)"
+optimize() {
+    curl -sS -o "$1" -w '%{http_code}' \
+        -X POST "$base/v1/optimize" \
+        -H 'Content-Type: application/json' \
+        -d "{\"scenario\":\"golden\",\"ranks\":\"$SWEEP_RANKS\",\"mappings\":[\"bin\"],
+             \"machines\":[\"quartz\"],\"model_kinds\":[\"synthetic\"],
+             \"filter\":$FILTER,\"top\":$TOP,\"model\":{\"fast\":true,\"seed\":1}}"
+}
+status=$(optimize "$workdir/serve.json")
 [[ "$status" == 200 ]] || fail "/v1/optimize returned $status: $(cat "$workdir/serve.json")"
+status=$(optimize "$workdir/serve2.json")
+[[ "$status" == 200 ]] || fail "second /v1/optimize returned $status: $(cat "$workdir/serve2.json")"
+# The sweep object is the response's last field; the second call resolves
+# every build from the workload memo and must return it byte for byte.
+python3 - "$workdir/serve.json" "$workdir/serve2.json" <<'PY' || fail "repeated /v1/optimize returned a different sweep"
+import sys
+first, again = (open(p).read() for p in sys.argv[1:3])
+cut = lambda raw: raw[raw.index('"sweep":'):]
+assert cut(first) == cut(again), "sweep JSON differs between identical optimize calls"
+PY
 
 echo "== CLI and service frontiers must agree exactly"
 python3 - "$workdir/cli.json" "$workdir/serve.json" <<'PY' || fail "CLI and /v1/optimize disagree"
@@ -111,8 +125,12 @@ echo "== sweep warmed the point-predict cache"
 curl -fsS -o "$workdir/predict.json" -X POST "$base/v1/predict" \
     -d "{\"scenario\":\"golden\",\"ranks\":[8],\"filter\":$FILTER,\"model\":{\"fast\":true,\"seed\":1}}" \
     || fail "post-sweep /v1/predict failed"
-python3 -c 'import json,sys; assert json.load(open(sys.argv[1]))["cache"]=="hit", "not a cache hit"' \
-    "$workdir/predict.json" || fail "post-sweep predict missed the model cache"
+python3 - "$workdir/predict.json" <<'PY' || fail "post-sweep predict missed the model cache or the workload memo"
+import json, sys
+body = json.load(open(sys.argv[1]))
+assert body["cache"] == "hit", body
+assert body["results"][0]["workload_cache"] == "hit", body
+PY
 
 echo "== SIGTERM drains cleanly"
 kill -TERM "$pid"

@@ -132,6 +132,13 @@ func (w *Workload) Frames() int { return w.inner.RealComp.Frames() }
 // Iterations returns the application iteration of every interval.
 func (w *Workload) Iterations() []int { return w.inner.RealComp.Iterations() }
 
+// ResidentBytes returns the heap the workload's matrices and bin counts
+// hold: 8 B per dense computation-matrix cell, 16 B per sealed
+// communication entry — what a cache that keeps the workload is charged.
+func (w *Workload) ResidentBytes() int64 {
+	return w.inner.ResidentBytes() + 8*int64(len(w.binsPerFrame))
+}
+
 // At returns the real-particle count of rank r at interval k —
 // P_comp[r][k].
 func (w *Workload) At(r, k int) int64 { return w.inner.RealComp.At(r, k) }
