@@ -34,8 +34,9 @@ bench:
 
 # bench-pipeline regenerates BENCH_pipeline.json: paper-scale fill (scalar
 # vs tiled), StreamConcurrent frames/sec, fused-run wall time, BSP replay
-# time per prediction, sweep configs/s and the rebalance policies. Use
-# BENCHTIME=1x for a quick smoke pass.
+# time per prediction, sweep configs/s, the rebalance policies and model
+# training (TrainModels fast/full, GP population scoring compiled vs tree).
+# Use BENCHTIME=1x for a quick smoke pass.
 bench-pipeline:
 	./scripts/pipeline_bench.sh
 

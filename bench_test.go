@@ -209,3 +209,21 @@ func BenchmarkAppRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTrainModels measures one Model Generator run at seed 1 on the
+// synthetic testbed — the set-up every fused run and every cold serving
+// model key pays — with the fast and the full symbolic search.
+func BenchmarkTrainModels(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		fast bool
+	}{{"fast", true}, {"full", false}} {
+		b.Run(tc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := picpredict.TrainModels(picpredict.TrainOptions{Seed: 1, Fast: tc.fast}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

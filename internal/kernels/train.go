@@ -3,6 +3,8 @@ package kernels
 import (
 	"fmt"
 	"math"
+	"sort"
+	"sync"
 
 	"picpredict/internal/perfmodel"
 )
@@ -40,51 +42,70 @@ type Models map[string]perfmodel.Model
 // linear regression over a polynomial basis where that suffices
 // (single-dominant-parameter kernels) and symbolic regression for the
 // multi-parameter kernels, exactly the split the paper describes.
+//
+// Every measurement is taken before any fit starts, in All() order: the
+// measurer sees the same sequence of calls whatever the fits do (the
+// synthetic testbed's noise stream depends on it), and no fit competes for
+// the CPU while a wall-clock measurement is being timed.
 func Train(m Measurer, opts TrainOptions) (Models, error) {
 	sweep := opts.Sweep
 	if len(sweep.Np) == 0 && len(sweep.Ngp) == 0 && len(sweep.Nel) == 0 && len(sweep.N) == 0 && len(sweep.Filter) == 0 {
 		sweep = DefaultSweep()
 	}
-	out := make(Models, 5)
+	samples := make(map[string][]Sample, 5)
 	for _, k := range All() {
-		model, err := trainOne(k, m, sweep, opts)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: training %s: %w", k.Name, err)
-		}
-		out[k.Name] = model
+		samples[k.Name] = Generate(k, m, kernelSweep(k.Name, sweep))
 	}
-	return out, nil
+	return TrainFromSamples(samples, opts)
 }
 
-func trainOne(k Kernel, m Measurer, sweep Sweep, opts TrainOptions) (perfmodel.Model, error) {
-	// Restrict the sweep to the parameters that matter per kernel, so the
-	// training grid stays compact and the fits stay identifiable.
-	s := sweep
-	switch k.Name {
+// kernelSweep restricts the sweep to the parameters that matter per
+// kernel, so the training grid stays compact and the fits stay
+// identifiable.
+func kernelSweep(name string, sweep Sweep) Sweep {
+	switch name {
 	case Pusher.Name, EqSolver.Name:
-		s = Sweep{Np: sweep.Np}
+		return Sweep{Np: sweep.Np}
 	case Interpolation.Name:
-		s = Sweep{Np: sweep.Np, N: sweep.N}
+		return Sweep{Np: sweep.Np, N: sweep.N}
 	case Projection.Name:
-		s = Sweep{Np: sweep.Np, Ngp: sweep.Ngp, N: sweep.N, Filter: sweep.Filter}
+		return Sweep{Np: sweep.Np, Ngp: sweep.Ngp, N: sweep.N, Filter: sweep.Filter}
 	case CreateGhosts.Name:
-		s = Sweep{Np: sweep.Np, Ngp: sweep.Ngp, Filter: sweep.Filter}
+		return Sweep{Np: sweep.Np, Ngp: sweep.Ngp, Filter: sweep.Filter}
 	}
-	return FitKernel(k.Name, Generate(k, m, s), opts)
+	return sweep
 }
 
-// TrainFromSamples fits one model per kernel from externally collected
-// benchmark samples — the path used when the samples come from the
-// instrumented application (AppSamples) rather than the synthetic kernel
-// bodies. Kernels without samples are absent from the result.
+// TrainFromSamples fits one model per kernel from benchmark samples — Train
+// hands it the synthetic or wall-clock measurements, and the instrumented
+// application path hands it AppSamples. Kernels without samples are absent
+// from the result. The fits share nothing and each is deterministic, so
+// they run concurrently; when fits fail, the first failure in sorted
+// kernel-name order is returned, so the error does not depend on map order
+// or scheduling.
 func TrainFromSamples(samples map[string][]Sample, opts TrainOptions) (Models, error) {
-	out := make(Models, len(samples))
-	for name, smps := range samples {
-		model, err := FitKernel(name, smps, opts)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: training %s: %w", name, err)
+	names := make([]string, 0, len(samples))
+	for name := range samples {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	models := make([]perfmodel.Model, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			models[i], errs[i] = FitKernel(name, samples[name], opts)
+		}()
+	}
+	wg.Wait()
+	out := make(Models, len(names))
+	for i, name := range names {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("kernels: training %s: %w", name, errs[i])
 		}
-		out[name] = model
+		out[name] = models[i]
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Symbolic regression by genetic programming (Koza, ref [14]; the paper's
@@ -194,7 +195,7 @@ func (o SymbolicOptions) withDefaults() SymbolicOptions {
 }
 
 // FitSymbolic evolves a symbolic model for the training set. X rows are
-// feature vectors; y the measured times.
+// feature vectors of one common length; y the measured times.
 func FitSymbolic(x [][]float64, y []float64, opts SymbolicOptions) (*SymbolicModel, error) {
 	if len(x) == 0 || len(x) != len(y) {
 		return nil, fmt.Errorf("perfmodel: %d samples for %d targets", len(x), len(y))
@@ -203,11 +204,29 @@ func FitSymbolic(x [][]float64, y []float64, opts SymbolicOptions) (*SymbolicMod
 	if nvars == 0 {
 		return nil, fmt.Errorf("perfmodel: empty feature vectors")
 	}
+	for i, row := range x {
+		if len(row) != nvars {
+			return nil, fmt.Errorf("perfmodel: sample %d has %d features, sample 0 has %d", i, len(row), nvars)
+		}
+	}
 	opts = opts.withDefaults()
-	var best *SymbolicModel
-	for r := 0; r < opts.Restarts; r++ {
-		m := runGP(x, y, opts, opts.Seed+int64(r)*7919, nvars)
-		if best == nil || m.Fitness < best.Fitness {
+	fd := newFitData(x, y)
+	// Restarts share only the read-only training set: each has its own
+	// seed, RNG and scratch, so they run concurrently and the winner is
+	// still the first best in restart order.
+	runs := make([]*SymbolicModel, opts.Restarts)
+	var wg sync.WaitGroup
+	for r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[r] = runGP(fd, opts, opts.Seed+int64(r)*7919)
+		}()
+	}
+	wg.Wait()
+	best := runs[0]
+	for _, m := range runs[1:] {
+		if m.Fitness < best.Fitness {
 			best = m
 		}
 	}
@@ -221,15 +240,12 @@ type individual struct {
 	shift   float64
 }
 
-func runGP(x [][]float64, y []float64, opts SymbolicOptions, seed int64, nvars int) *SymbolicModel {
+func runGP(fd *fitData, opts SymbolicOptions, seed int64) *SymbolicModel {
 	rng := rand.New(rand.NewSource(seed))
-	yScale := meanAbs(y)
-	if yScale == 0 {
-		yScale = 1
-	}
-
+	nvars := len(fd.cols)
+	var s scratch
 	evalInd := func(ind *individual) {
-		ind.scale, ind.shift, ind.fitness = calibrate(ind.tree, x, y, yScale)
+		ind.scale, ind.shift, ind.fitness = s.score(ind.tree, fd)
 		ind.fitness += opts.Parsimony * float64(ind.tree.size())
 	}
 
@@ -278,34 +294,190 @@ func runGP(x [][]float64, y []float64, opts SymbolicOptions, seed int64, nvars i
 	}
 }
 
-// calibrate finds the weighted least-squares (scale, shift) for tree
-// outputs against y — weighted by inverse squared magnitude, so the fitness
-// is a *relative* RMSE aligned with the MAPE the models are judged by —
-// and returns them with that fitness.
-func calibrate(t *node, x [][]float64, y []float64, yScale float64) (scale, shift, fitness float64) {
+// Fitness evaluation runs each candidate as a compiled column program: the
+// tree is flattened into postfix instructions once per scoring, and each
+// instruction runs over every training sample before the next one starts.
+// A sample sees exactly the float64 operations, in the order, that
+// node.eval applies to it, so outputs, fitness and the GP trajectory are
+// bit-for-bit those of the tree walk.
+
+// instr is one postfix instruction of a compiled expression.
+type instr struct {
+	op  opKind
+	idx int     // opVar
+	val float64 // opConst
+}
+
+// compile appends t in postfix order to code and returns the peak operand
+// stack depth the program needs. It rejects variable indices outside
+// [0, nvars) and unknown ops, so a compiled program evaluates without an
+// error path.
+func compile(code []instr, t *node, nvars int) ([]instr, int, error) {
+	switch t.op {
+	case opConst:
+		return append(code, instr{op: opConst, val: t.val}), 1, nil
+	case opVar:
+		if t.idx < 0 || t.idx >= nvars {
+			return code, 0, fmt.Errorf("perfmodel: expression references feature x%d, vector has %d", t.idx, nvars)
+		}
+		return append(code, instr{op: opVar, idx: t.idx}), 1, nil
+	case opLog:
+		code, depth, err := compile(code, t.l, nvars)
+		if err != nil {
+			return code, 0, err
+		}
+		return append(code, instr{op: opLog}), depth, nil
+	case opAdd, opSub, opMul, opDiv:
+		code, dl, err := compile(code, t.l, nvars)
+		if err != nil {
+			return code, 0, err
+		}
+		code, dr, err := compile(code, t.r, nvars)
+		if err != nil {
+			return code, 0, err
+		}
+		return append(code, instr{op: t.op}), max(dl, dr+1), nil
+	}
+	return code, 0, fmt.Errorf("perfmodel: bad op %d in expression tree", t.op)
+}
+
+// fitData is the training set of one FitSymbolic call in the layout the
+// column programs read, plus every calibration term that depends on y
+// alone. Its restarts share it read-only.
+type fitData struct {
+	cols    [][]float64 // cols[j][i] is feature j of sample i
+	y       []float64
+	w       []float64 // relative weight 1/max(|y|, floor)² per sample
+	sw, swY float64   // Σw and Σw·y in sample order
+}
+
+func newFitData(x [][]float64, y []float64) *fitData {
+	fd := &fitData{cols: make([][]float64, len(x[0])), y: y, w: make([]float64, len(y))}
+	for j := range fd.cols {
+		col := make([]float64, len(x))
+		for i, row := range x {
+			col[i] = row[j]
+		}
+		fd.cols[j] = col
+	}
+	yScale := meanAbs(y)
+	if yScale == 0 {
+		yScale = 1
+	}
 	floor := 1e-3 * yScale
 	if floor <= 0 {
 		floor = 1
 	}
-	var sw, swT, swY, swTT, swTY float64
-	outs := make([]float64, len(y))
-	ws := make([]float64, len(y))
-	for i := range x {
-		v, err := t.eval(x[i])
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+	for i := range y {
+		v := math.Abs(y[i])
+		if v < floor {
+			v = floor
+		}
+		w := 1 / (v * v)
+		fd.w[i] = w
+		fd.sw += w
+		fd.swY += w * y[i]
+	}
+	return fd
+}
+
+// scratch is one GP run's private evaluation state: the program buffer and
+// the operand stack. Stack slot k is either a feature column or bufs[k];
+// bufs grows on demand because mutated trees are not depth-bounded.
+type scratch struct {
+	code  []instr
+	stack [][]float64
+	bufs  [][]float64
+}
+
+// score compiles t and calibrates its outputs against fd. A tree that does
+// not compile is simply unfit.
+func (s *scratch) score(t *node, fd *fitData) (scale, shift, fitness float64) {
+	code, depth, err := compile(s.code[:0], t, len(fd.cols))
+	s.code = code
+	if err != nil {
+		return 1, 0, math.Inf(1)
+	}
+	return fd.calibrate(s.run(code, depth, fd))
+}
+
+// run evaluates a compiled program over every sample of fd and returns its
+// output column, which stays valid until the next run.
+func (s *scratch) run(code []instr, depth int, fd *fitData) []float64 {
+	n := len(fd.y)
+	for len(s.bufs) < depth {
+		s.bufs = append(s.bufs, make([]float64, n))
+		s.stack = append(s.stack, nil)
+	}
+	sp := 0
+	for _, in := range code {
+		switch in.op {
+		case opConst:
+			out := s.bufs[sp]
+			for i := range out {
+				out[i] = in.val
+			}
+			s.stack[sp] = out
+			sp++
+		case opVar:
+			s.stack[sp] = fd.cols[in.idx]
+			sp++
+		case opLog:
+			a, out := s.stack[sp-1], s.bufs[sp-1]
+			a = a[:len(out)]
+			for i := range out {
+				out[i] = math.Log1p(math.Abs(a[i]))
+			}
+			s.stack[sp-1] = out
+		default:
+			sp--
+			a, b, out := s.stack[sp-1], s.stack[sp], s.bufs[sp-1]
+			a, b = a[:len(out)], b[:len(out)]
+			switch in.op {
+			case opAdd:
+				for i := range out {
+					out[i] = a[i] + b[i]
+				}
+			case opSub:
+				for i := range out {
+					out[i] = a[i] - b[i]
+				}
+			case opMul:
+				for i := range out {
+					out[i] = a[i] * b[i]
+				}
+			case opDiv:
+				for i := range out {
+					if r := b[i]; math.Abs(r) < 1e-12 {
+						out[i] = a[i] // protected division
+					} else {
+						out[i] = a[i] / r
+					}
+				}
+			}
+			s.stack[sp-1] = out
+		}
+	}
+	return s.stack[0]
+}
+
+// calibrate finds the weighted least-squares (scale, shift) for a tree's
+// output column against y — weighted by inverse squared magnitude, so the
+// fitness is a *relative* RMSE aligned with the MAPE the models are judged
+// by — and returns them with that fitness. It allocates nothing.
+func (fd *fitData) calibrate(outs []float64) (scale, shift, fitness float64) {
+	for _, v := range outs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
 			// A tree that cannot be evaluated is simply unfit.
 			return 1, 0, math.Inf(1)
 		}
-		outs[i] = v
-		d := math.Abs(y[i])
-		if d < floor {
-			d = floor
-		}
-		w := 1 / (d * d)
-		ws[i] = w
-		sw += w
+	}
+	y, ws := fd.y, fd.w
+	sw, swY := fd.sw, fd.swY
+	var swT, swTT, swTY float64
+	for i, v := range outs {
+		w := ws[i]
 		swT += w * v
-		swY += w * y[i]
 		swTT += w * v * v
 		swTY += w * v * y[i]
 	}

@@ -117,6 +117,12 @@ func TestSymbolicValidation(t *testing.T) {
 	if _, err := FitSymbolic([][]float64{{}}, []float64{1}, SymbolicOptions{}); err == nil {
 		t.Error("empty features accepted")
 	}
+	// Ragged rows: a row shorter or longer than the first.
+	for _, x := range [][][]float64{{{1, 2}, {3}}, {{1}, {2, 3}}} {
+		if _, err := FitSymbolic(x, []float64{1, 2}, SymbolicOptions{}); err == nil {
+			t.Errorf("ragged rows %v accepted", x)
+		}
+	}
 }
 
 func TestSymbolicStringMentionsFeatures(t *testing.T) {
@@ -196,5 +202,27 @@ func TestNodeRenderAllOps(t *testing.T) {
 	}
 	if _, err := anon.eval(x); err == nil {
 		t.Error("out-of-range variable evaluated without error")
+	}
+	// Compilation rejects the same malformed trees, at any position in the
+	// tree, and the compiled fitness scores them unfit.
+	fd := newFitData([][]float64{x, {5, 6}}, []float64{1, 2})
+	var sc scratch
+	for _, bad := range []*node{
+		{op: opKind(99)},
+		anon,
+		{op: opVar, idx: len(x)},
+		{op: opVar, idx: -1},
+		{op: opAdd, l: v0, r: &node{op: opLog, l: anon}},
+		{op: opMul, l: &node{op: opKind(99)}, r: c},
+	} {
+		if _, _, err := compile(nil, bad, len(x)); err == nil {
+			t.Errorf("malformed tree %s compiled without error", bad.render(names))
+		}
+		if scale, shift, fit := sc.score(bad, fd); scale != 1 || shift != 0 || !math.IsInf(fit, 1) {
+			t.Errorf("malformed tree %s scored (%v, %v, %v), want (1, 0, +Inf)", bad.render(names), scale, shift, fit)
+		}
+	}
+	if _, _, err := compile(nil, tree, len(x)); err != nil {
+		t.Errorf("well-formed tree rejected: %v", err)
 	}
 }

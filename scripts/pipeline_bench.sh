@@ -20,16 +20,23 @@
 #             one-pipeline-per-configuration loop;
 #   rebalance: static bisection vs each dynamic load-balancing policy on a
 #             clustered element-mapped trace — predicted wall time, priced
-#             migration seconds, and rebalance epochs per policy.
+#             migration seconds, and rebalance epochs per policy;
+#   train   : one Model Generator run (TrainModels at seed 1, fast and full
+#             symbolic search, kernels and restarts fitted concurrently),
+#             and the scoring of one 200-individual GP population over the
+#             projection kernel's 1,000 training samples as compiled column
+#             programs vs the tree-walking oracle.
 #
 # The headline ratios are speedup.fill_bin / speedup.fill_element (tiled
 # fill over the flat oracle fill at paper scale),
 # speedup.simulate_bin / speedup.simulate_element (memoized replay over
-# the oracle replay at paper scale) and
+# the oracle replay at paper scale),
 # speedup.sweep_shared_build (the sweep engine must clear 5× over naive
-# per-configuration evaluation). BENCHTIME=1x gives a CI smoke run; the
-# committed JSON uses the default 3x (sweep runs at 1x regardless — one
-# naive iteration is ~50 s of pure rebuild work).
+# per-configuration evaluation) and speedup.calibrate (compiled population
+# scoring over the tree walk, both serial). BENCHTIME=1x gives a CI smoke
+# run; the committed JSON uses the default 3x (sweep runs at 1x regardless —
+# one naive iteration is ~50 s of pure rebuild work — and the calibrate
+# pair at 1s, since one population takes milliseconds).
 #
 #   BENCHTIME=3x ./scripts/pipeline_bench.sh
 #
@@ -73,6 +80,12 @@ echo "== sweep (paper-scale capacity planning, shared builds vs naive)"
 go test -run '^$' -bench 'SweepPaper' -benchtime 1x -timeout 30m ./internal/sweep/ \
     | tee "$workdir/sweep.txt" || fail "sweep benchmarks failed"
 
+echo "== train (TrainModels fast/full; population scoring compiled vs tree)"
+go test -run '^$' -bench 'TrainModels' -benchtime "$BENCHTIME" . \
+    | tee "$workdir/train.txt" || fail "train benchmarks failed"
+go test -run '^$' -bench 'Calibrate' -benchtime 1s ./internal/perfmodel/ \
+    | tee -a "$workdir/train.txt" || fail "calibrate benchmarks failed"
+
 echo "== write $OUT"
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
@@ -111,6 +124,7 @@ fused = parse("fused.txt")
 sweep = parse("sweep.txt")
 rebal = parse("rebalance.txt")
 simulate = parse("simulate.txt")
+train = parse("train.txt")
 
 def ms(runs, name):
     try:
@@ -119,7 +133,7 @@ def ms(runs, name):
         sys.exit(f"benchmark {name} missing from output")
 
 doc = {
-    "bench": "pipeline hot paths: fill / stream / fused / simulate / sweep / rebalance",
+    "bench": "pipeline hot paths: fill / stream / fused / simulate / sweep / rebalance / train",
     "config": {
         "np": 599257,
         "ranks": 8352,
@@ -193,6 +207,21 @@ for case in ("paper_bin", "paper_bin_oracle", "paper_element", "paper_element_or
         "reuse_share": round(1 - r["iter_evals"] / r["rank_intervals"], 4),
     }
 doc["simulate_per_prediction"] = sim_doc
+
+# Model training: wall time of one TrainModels call (its fits run
+# concurrently, so this one depends on host_cores) and the serial scoring
+# of one GP population, compiled vs tree walk.
+calib = {}
+for case in ("compiled", "tree"):
+    r = train.get("BenchmarkCalibrate/" + case)
+    if r is None:
+        sys.exit(f"benchmark Calibrate/{case} missing from output")
+    calib[case] = round(r["ms"], 3)
+doc["train"] = {
+    "fast_ms": ms(train, "TrainModels/fast"),
+    "full_ms": ms(train, "TrainModels/full"),
+    "calibrate_ms": calib,
+}
 f = doc["fill_ms_per_frame"]
 sw = doc["sweep_configs_per_s"]
 doc["speedup"] = {
@@ -201,6 +230,7 @@ doc["speedup"] = {
     "simulate_bin": round(sim_doc["paper_bin_oracle"]["ms"] / sim_doc["paper_bin"]["ms"], 2),
     "simulate_element": round(sim_doc["paper_element_oracle"]["ms"] / sim_doc["paper_element"]["ms"], 2),
     "sweep_shared_build": round(sw["shared_build"] / sw["naive"], 2),
+    "calibrate": round(calib["tree"] / calib["compiled"], 2),
 }
 with open(out, "w") as fh:
     json.dump(doc, fh, indent=2)
@@ -216,6 +246,9 @@ for case, entry in sim_doc.items():
           f"{entry['allocs_per_op']} allocs, reuse {entry['reuse_share']:.1%}")
 print(f"   sweep       : {sw['naive']:.3f} -> {sw['shared_build']:.3f} configs/s "
       f"({doc['speedup']['sweep_shared_build']}x)")
+print(f"   train       : fast {doc['train']['fast_ms']:.0f} ms, full {doc['train']['full_ms']:.0f} ms")
+print(f"   calibrate   : {calib['tree']:.2f} -> {calib['compiled']:.2f} ms/population "
+      f"({doc['speedup']['calibrate']}x)")
 for policy, entry in rebal_doc.items():
     sp = entry.get("predicted_speedup_vs_static")
     tail = f" ({sp}x vs static)" if sp else ""
