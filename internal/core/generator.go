@@ -187,7 +187,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 // Frame processes one trace frame: it mimics the mapping algorithm to find
 // each particle's residing processor R_p, updates the computation counters,
 // and, by comparing with the previous frame's assignment, the communication
-// counters (§II-A).
+// counters (§II-A). A frame with a NaN or infinite coordinate is rejected:
+// no mapping or ghost query can place such a particle.
 func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 	if g.finished {
 		return errors.New("core: Frame after Finish")
@@ -201,6 +202,11 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 			g.frames, len(pos), g.wl.NumParticles)
 	}
 
+	for i, p := range pos {
+		if !p.IsFinite() {
+			return fmt.Errorf("core: frame %d: particle %d at %v is not finite", g.frames, i, p)
+		}
+	}
 	if err := g.cfg.Mapper.Assign(g.cur, pos); err != nil {
 		return fmt.Errorf("core: frame %d: %w", g.frames, err)
 	}

@@ -75,30 +75,35 @@ func (b AABB) MaxExtent() float64 { return b.Extent().Axis(b.LongestAxis()) }
 // Extend returns the smallest box containing both b and the point p.
 func (b AABB) Extend(p Vec3) AABB { return AABB{Lo: b.Lo.Min(p), Hi: b.Hi.Max(p)} }
 
-// TileBounds returns the bounding box of the selected positions. It is the
-// Extend fold written as one branch-lean pass because the tiled query paths
-// call it once per tile per frame; an empty selection yields the empty box.
+// TileBounds returns the bounding box of the selected positions, skipping
+// any with a NaN or infinite coordinate; a selection with no finite
+// position yields the empty box. It is the Extend fold written as one
+// branch-lean pass because the tiled query paths call it once per tile per
+// frame.
 func TileBounds(pos []Vec3, ids []int32) AABB {
-	if len(ids) == 0 {
-		return EmptyBox()
-	}
-	p := pos[ids[0]]
-	lo, hi := p, p
-	for _, i := range ids[1:] {
+	b := EmptyBox()
+	lo, hi := b.Lo, b.Hi
+	for _, i := range ids {
 		p := pos[i]
+		if !p.IsFinite() {
+			continue
+		}
 		if p.X < lo.X {
 			lo.X = p.X
-		} else if p.X > hi.X {
+		}
+		if p.X > hi.X {
 			hi.X = p.X
 		}
 		if p.Y < lo.Y {
 			lo.Y = p.Y
-		} else if p.Y > hi.Y {
+		}
+		if p.Y > hi.Y {
 			hi.Y = p.Y
 		}
 		if p.Z < lo.Z {
 			lo.Z = p.Z
-		} else if p.Z > hi.Z {
+		}
+		if p.Z > hi.Z {
 			hi.Z = p.Z
 		}
 	}

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -178,5 +179,18 @@ func TestExtendContainsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestTileBoundsSkipsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	pos := []Vec3{V(nan, 0, 0), V(1, 2, 3), V(inf, 0, 0), V(-1, 5, 0), V(0, -inf, 0)}
+	for _, ids := range [][]int32{{0, 1, 2, 3, 4}, {1, 0, 3}, {3, 4, 1, 2}} {
+		if got, want := TileBounds(pos, ids), Box(V(-1, 2, 0), V(1, 5, 3)); got != want {
+			t.Errorf("TileBounds(%v) = %v, want %v", ids, got, want)
+		}
+	}
+	if got := TileBounds(pos, []int32{0, 2, 4}); !got.Empty() {
+		t.Errorf("all-non-finite tile bounds %v, want empty", got)
 	}
 }

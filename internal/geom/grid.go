@@ -12,22 +12,34 @@ type Grid struct {
 	dx, dy, dz float64
 }
 
-// NewGrid constructs a grid over domain with the given cell counts.
+// NewGrid constructs a grid over domain with the given cell counts. The
+// bounds and extent must be finite, and an axis whose cells have zero size
+// (a flat axis) may hold only one cell, so that every point of the closed
+// domain lies in a cell.
 func NewGrid(domain AABB, nx, ny, nz int) (*Grid, error) {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("geom: grid dimensions must be positive, got %d×%d×%d", nx, ny, nz)
 	}
+	e := domain.Extent()
+	if !domain.Lo.IsFinite() || !domain.Hi.IsFinite() || !e.IsFinite() {
+		return nil, fmt.Errorf("geom: grid domain %v is not finite", domain)
+	}
 	if domain.Empty() {
 		return nil, fmt.Errorf("geom: grid domain %v is empty", domain)
 	}
-	e := domain.Extent()
-	return &Grid{
+	g := &Grid{
 		Domain: domain,
 		Nx:     nx, Ny: ny, Nz: nz,
 		dx: e.X / float64(nx),
 		dy: e.Y / float64(ny),
 		dz: e.Z / float64(nz),
-	}, nil
+	}
+	for a, n := range [3]int{nx, ny, nz} {
+		if n > 1 && !(g.CellSize().Axis(a) > 0) {
+			return nil, fmt.Errorf("geom: grid axis %d of domain %v is flat but has %d cells", a, domain, n)
+		}
+	}
+	return g, nil
 }
 
 // Len returns the total number of cells.
@@ -49,41 +61,71 @@ func (g *Grid) Coords(id int) (i, j, k int) {
 }
 
 // Locate returns the flat id of the cell containing p, or -1 when p lies
-// outside the grid domain. Points exactly on the high boundary are assigned
-// to the last cell so that particles sitting on the domain edge stay valid.
+// outside the closed grid domain or has a NaN coordinate. Points on the
+// high face belong to the last cell along that axis, so every point of the
+// closed domain has a cell. Along a flat axis (zero extent, one cell) every
+// coordinate lies in the single cell.
 func (g *Grid) Locate(p Vec3) int {
-	i, ok := g.axisCell(p.X, g.Domain.Lo.X, g.dx, g.Nx)
+	i, ok := axisCell(p.X, g.Domain.Lo.X, g.Domain.Hi.X, g.dx, g.Nx)
 	if !ok {
 		return -1
 	}
-	j, ok := g.axisCell(p.Y, g.Domain.Lo.Y, g.dy, g.Ny)
+	j, ok := axisCell(p.Y, g.Domain.Lo.Y, g.Domain.Hi.Y, g.dy, g.Ny)
 	if !ok {
 		return -1
 	}
-	k, ok := g.axisCell(p.Z, g.Domain.Lo.Z, g.dz, g.Nz)
+	k, ok := axisCell(p.Z, g.Domain.Lo.Z, g.Domain.Hi.Z, g.dz, g.Nz)
 	if !ok {
 		return -1
 	}
 	return g.Index(i, j, k)
 }
 
-func (g *Grid) axisCell(x, lo, d float64, n int) (int, bool) {
+// LocateClamped returns the flat id of the cell containing p clamped onto
+// the closed domain, Locate(p.Clamp(Domain.Lo, Domain.Hi)), without
+// building the clamped point. It is never negative on a grid NewGrid
+// accepts. A NaN coordinate clamps onto the low face, as Clamp maps it.
+func (g *Grid) LocateClamped(p Vec3) int {
+	return g.Index(
+		clampedAxisCell(p.X, g.Domain.Lo.X, g.Domain.Hi.X, g.dx, g.Nx),
+		clampedAxisCell(p.Y, g.Domain.Lo.Y, g.Domain.Hi.Y, g.dy, g.Ny),
+		clampedAxisCell(p.Z, g.Domain.Lo.Z, g.Domain.Hi.Z, g.dz, g.Nz))
+}
+
+// axisCell locates x along one axis of n cells of size d starting at lo.
+func axisCell(x, lo, hi, d float64, n int) (int, bool) {
 	if d <= 0 {
 		return 0, n == 1 // degenerate flat axis: single cell
 	}
 	t := (x - lo) / d
-	if t < 0 {
-		return 0, false
+	if !(t >= 0) {
+		return 0, false // below the low face, or NaN
 	}
-	c := int(t)
-	if c >= n {
-		// On (or numerically past) the high face: accept only exact edge.
-		if x <= lo+d*float64(n) {
-			return n - 1, true
-		}
-		return 0, false
+	if t < float64(n) {
+		return int(t), true
 	}
-	return c, true
+	// On (or numerically past) the high face. lo + d·n can round below hi,
+	// so the face itself is accepted as well.
+	if x <= hi || x <= lo+d*float64(n) {
+		return n - 1, true
+	}
+	return 0, false
+}
+
+// clampedAxisCell is axisCell of x clamped into [lo, hi], with Clamp's
+// treatment of NaN (onto lo). The clamp keeps t finite, so the int
+// conversion never overflows.
+func clampedAxisCell(x, lo, hi, d float64, n int) int {
+	if !(x > lo) {
+		return 0
+	}
+	if x > hi {
+		x = hi
+	}
+	if t := (x - lo) / d; t < float64(n) {
+		return int(t)
+	}
+	return n - 1
 }
 
 // CellBox returns the AABB of cell id.
@@ -155,11 +197,12 @@ func (g *Grid) axisDist2s(buf []float64, x, lo, d float64, ilo, ihi int) []float
 	return buf
 }
 
-// ClampCoords returns the coordinates of the cell containing p, with each
-// axis clamped into the valid [0, N-1] range. This is the exact range
-// arithmetic CellsInSphere applies to the two corners of a ball's bounding
-// box; it is exported so batched (tiled) queries can reproduce the scalar
-// candidate window bit-for-bit per particle.
+// ClampCoords returns the (i, j, k) coordinates of LocateClamped(p): the
+// cell containing p, with each axis clamped into the valid [0, N-1] range.
+// This is the exact range arithmetic CellsInSphere applies to the two
+// corners of a ball's bounding box; it is exported so batched (tiled)
+// queries can reproduce the scalar candidate window bit-for-bit per
+// particle.
 func (g *Grid) ClampCoords(p Vec3) (i, j, k int) { return g.clampCoords(p) }
 
 // AxisDist2Table appends to buf the squared distance from coordinate x to
@@ -179,29 +222,8 @@ func (g *Grid) AxisDist2Table(buf []float64, axis int, x float64, ilo, ihi int) 
 }
 
 func (g *Grid) clampCoords(p Vec3) (i, j, k int) {
-	i = clampInt(g.cellFloor(p.X, g.Domain.Lo.X, g.dx), 0, g.Nx-1)
-	j = clampInt(g.cellFloor(p.Y, g.Domain.Lo.Y, g.dy), 0, g.Ny-1)
-	k = clampInt(g.cellFloor(p.Z, g.Domain.Lo.Z, g.dz), 0, g.Nz-1)
+	i = clampedAxisCell(p.X, g.Domain.Lo.X, g.Domain.Hi.X, g.dx, g.Nx)
+	j = clampedAxisCell(p.Y, g.Domain.Lo.Y, g.Domain.Hi.Y, g.dy, g.Ny)
+	k = clampedAxisCell(p.Z, g.Domain.Lo.Z, g.Domain.Hi.Z, g.dz, g.Nz)
 	return
-}
-
-func (g *Grid) cellFloor(x, lo, d float64) int {
-	if d <= 0 {
-		return 0
-	}
-	t := (x - lo) / d
-	if t < 0 {
-		return -1
-	}
-	return int(t)
-}
-
-func clampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

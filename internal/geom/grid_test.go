@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -24,6 +25,38 @@ func TestNewGridValidation(t *testing.T) {
 	}
 	if _, err := NewGrid(EmptyBox(), 1, 1, 1); err == nil {
 		t.Error("empty domain accepted")
+	}
+	for _, bad := range []AABB{
+		{Lo: V(math.NaN(), 0, 0), Hi: V(1, 1, 1)},
+		{Lo: V(0, 0, 0), Hi: V(1, math.Inf(1), 1)},
+		{Lo: V(-1e308, 0, 0), Hi: V(1e308, 1, 1)}, // finite bounds, infinite extent
+	} {
+		if _, err := NewGrid(bad, 1, 1, 1); err == nil {
+			t.Errorf("non-finite domain %v accepted", bad)
+		}
+	}
+	if _, err := NewGrid(Box(V(0, 0, 0), V(1, 1, 0)), 2, 2, 2); err == nil {
+		t.Error("flat axis with two cells accepted")
+	}
+	if _, err := NewGrid(Box(V(0, 0, 0), V(1, 1, 0)), 2, 2, 1); err != nil {
+		t.Errorf("flat axis with one cell rejected: %v", err)
+	}
+}
+
+// TestGridLocateHighFace: the high face belongs to the last cell for every
+// cell count, including those (49 on a unit extent, 73 on 0.01) where
+// lo + d·n rounds below Hi, and a point clamped from beyond it stays there.
+func TestGridLocateHighFace(t *testing.T) {
+	for _, ext := range []float64{1, 0.01} {
+		for n := 1; n <= 1024; n++ {
+			g := mustGrid(t, Box(V(0, 0, 0), V(ext, ext, ext)), n, 1, 1)
+			if got := g.Locate(V(ext, 0, 0)); got != n-1 {
+				t.Fatalf("extent %g, %d cells: Locate(Hi) = %d, want %d", ext, n, got, n-1)
+			}
+			if got := g.LocateClamped(V(1.2*ext, 0, 0)); got != n-1 {
+				t.Fatalf("extent %g, %d cells: LocateClamped(1.2·Hi) = %d, want %d", ext, n, got, n-1)
+			}
+		}
 	}
 }
 
@@ -53,6 +86,9 @@ func TestGridLocate(t *testing.T) {
 		{V(1, 2, 3), g.Index(1, 2, 3)},
 		{V(-0.1, 1, 1), -1},
 		{V(4.1, 1, 1), -1},
+		{V(math.NaN(), 1, 1), -1},
+		{V(1, math.Inf(1), 1), -1},
+		{V(1, 1, 1e300), -1}, // t overflows int
 	}
 	for _, c := range cases {
 		if got := g.Locate(c.p); got != c.want {

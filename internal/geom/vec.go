@@ -96,6 +96,11 @@ func (v Vec3) Max(w Vec3) Vec3 {
 	return Vec3{fmax(v.X, w.X), fmax(v.Y, w.Y), fmax(v.Z, w.Z)}
 }
 
+// IsFinite reports whether no component of v is NaN or ±Inf.
+func (v Vec3) IsFinite() bool {
+	return math.Abs(v.X) <= math.MaxFloat64 && math.Abs(v.Y) <= math.MaxFloat64 && math.Abs(v.Z) <= math.MaxFloat64
+}
+
 // String implements fmt.Stringer.
 func (v Vec3) String() string { return fmt.Sprintf("(%g, %g, %g)", v.X, v.Y, v.Z) }
 

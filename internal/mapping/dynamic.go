@@ -109,12 +109,8 @@ func (dm *DynamicMapper) Assign(dst []int, pos []geom.Vec3) error {
 		dm.elemOf = make([]int, len(pos))
 	}
 	elemOf := dm.elemOf[:len(pos)]
-	dom := dm.Mesh.Domain()
 	for i, p := range pos {
-		e := dm.Mesh.ElementAt(p.Clamp(dom.Lo, dom.Hi))
-		if e < 0 {
-			return fmt.Errorf("mapping: particle %d at %v has no element", i, p)
-		}
+		e := dm.Mesh.Home(p)
 		elemOf[i] = e
 		dm.counts[e]++
 	}

@@ -63,14 +63,9 @@ func (hm *HilbertMapper) Assign(dst []int, pos []geom.Vec3) error {
 		hm.perm = make([]int, n)
 	}
 	keys, perm := hm.keys[:n], hm.perm[:n]
-	dom := hm.Mesh.Domain()
 	g := hm.Mesh.Elements
 	for i, p := range pos {
-		e := hm.Mesh.ElementAt(p.Clamp(dom.Lo, dom.Hi))
-		if e < 0 {
-			return fmt.Errorf("mapping: particle %d at %v has no element", i, p)
-		}
-		ex, ey, ez := g.Coords(e)
+		ex, ey, ez := g.Coords(hm.Mesh.Home(p))
 		keys[i] = hilbertIndex3D(hm.order, uint32(ex), uint32(ey), uint32(ez))
 		perm[i] = i
 	}

@@ -38,10 +38,10 @@ type Mapper interface {
 	Assign(dst []int, pos []geom.Vec3) error
 }
 
-// ElementMapper implements element-based mapping: rank of the element that
-// contains the particle. Positions outside the domain are clamped onto it
-// first (the application reflects particles at walls, so trace round-off can
-// leave a position marginally outside).
+// ElementMapper implements element-based mapping: rank of the particle's
+// home element (mesh.Home), which clamps positions onto the domain first —
+// the application reflects particles at walls, so trace round-off can leave
+// a position marginally outside.
 type ElementMapper struct {
 	Mesh   *mesh.Mesh
 	Decomp *mesh.Decomposition
@@ -66,13 +66,8 @@ func (em *ElementMapper) Assign(dst []int, pos []geom.Vec3) error {
 	if len(dst) != len(pos) {
 		return fmt.Errorf("mapping: dst length %d != positions %d", len(dst), len(pos))
 	}
-	dom := em.Mesh.Domain()
 	for i, p := range pos {
-		e := em.Mesh.ElementAt(p.Clamp(dom.Lo, dom.Hi))
-		if e < 0 {
-			return fmt.Errorf("mapping: particle %d at %v has no element", i, p)
-		}
-		dst[i] = em.Decomp.RankOf(e)
+		dst[i] = em.Decomp.RankOf(em.Mesh.Home(p))
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"picpredict/internal/geom"
 	"picpredict/internal/mesh"
+	"picpredict/internal/rebalance"
 )
 
 func quadMesh(t *testing.T) (*mesh.Mesh, *mesh.Decomposition) {
@@ -65,6 +66,46 @@ func TestElementMapperClampsOutside(t *testing.T) {
 	want := d.RankOf(m.ElementAt(geom.V(0, 2, 0.5)))
 	if dst[0] != want {
 		t.Errorf("clamped rank = %d, want %d", dst[0], want)
+	}
+}
+
+// TestElementMappersHighFace: on a 49×49×1 unit mesh, where lo + d·n
+// rounds below 1, every element-based mapper accepts a particle on the
+// x = 1 wall and one clamped back from x = 1.2; element mapping puts both
+// on the owner of the last element column.
+func TestElementMappersHighFace(t *testing.T) {
+	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 0.01)), 49, 49, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := mesh.Decompose(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := []geom.Vec3{geom.V(1, 0.5, 0.005), geom.V(1.2, 0.5, 0.005), geom.V(0.25, 0.25, 0.005)}
+	for _, mp := range []Mapper{
+		NewElementMapper(m, d),
+		NewDynamicMapper(m, 4, rebalance.Threshold{Factor: 1.5}),
+		NewHilbertMapper(m, 4),
+		NewHelperMapper(m, d),
+		NewWeightedElementMapper(m, 4),
+	} {
+		dst := make([]int, len(pos))
+		if err := mp.Assign(dst, pos); err != nil {
+			t.Errorf("%s: %v", mp.Name(), err)
+			continue
+		}
+		for i, r := range dst {
+			if r < 0 || r >= 4 {
+				t.Errorf("%s: particle %d on rank %d", mp.Name(), i, r)
+			}
+		}
+		if _, ok := mp.(*ElementMapper); ok {
+			want := d.RankOf(m.Elements.Index(48, 24, 0))
+			if dst[0] != want || dst[1] != want {
+				t.Errorf("element: wall particles on ranks %v, want %d", dst[:2], want)
+			}
+		}
 	}
 }
 

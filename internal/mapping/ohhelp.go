@@ -68,7 +68,6 @@ func (hm *HelperMapper) Assign(dst []int, pos []geom.Vec3) error {
 		hm.owner = make([]int, n)
 	}
 	owner := hm.owner[:n]
-	dom := hm.Mesh.Domain()
 	if cap(hm.counts) < ranks {
 		hm.counts = make([]int, ranks)
 	}
@@ -77,11 +76,7 @@ func (hm *HelperMapper) Assign(dst []int, pos []geom.Vec3) error {
 		counts[r] = 0
 	}
 	for i, p := range pos {
-		e := hm.Mesh.ElementAt(p.Clamp(dom.Lo, dom.Hi))
-		if e < 0 {
-			return fmt.Errorf("mapping: particle %d at %v has no element", i, p)
-		}
-		owner[i] = hm.Decomp.RankOf(e)
+		owner[i] = hm.Decomp.RankOf(hm.Mesh.Home(p))
 		counts[owner[i]]++
 	}
 

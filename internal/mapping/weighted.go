@@ -84,13 +84,8 @@ func (wm *WeightedElementMapper) Assign(dst []int, pos []geom.Vec3) error {
 		wm.elemOf = make([]int, len(pos))
 	}
 	elemOf := wm.elemOf[:len(pos)]
-	dom := wm.Mesh.Domain()
 	for i, p := range pos {
-		e := wm.Mesh.ElementAt(p.Clamp(dom.Lo, dom.Hi))
-		if e < 0 {
-			return fmt.Errorf("mapping: particle %d at %v has no element", i, p)
-		}
-		elemOf[i] = e
+		elemOf[i] = wm.Mesh.Home(p)
 	}
 
 	if wm.owner == nil || wm.overloaded(elemOf) {

@@ -15,9 +15,6 @@ type Decomposition struct {
 	Owner []int
 	// ElementsOf[r] lists the elements owned by rank r, in ascending order.
 	ElementsOf [][]int
-	// boxes[r] is the bounding box of rank r's element set, cached for
-	// ghost-particle queries.
-	boxes []geom.AABB
 }
 
 // Decompose distributes the mesh elements across ranks processors using
@@ -35,7 +32,6 @@ func Decompose(m *Mesh, ranks int) (*Decomposition, error) {
 		Ranks:      ranks,
 		Owner:      make([]int, n),
 		ElementsOf: make([][]int, ranks),
-		boxes:      make([]geom.AABB, ranks),
 	}
 	elems := make([]int, n)
 	for i := range elems {
@@ -46,7 +42,7 @@ func Decompose(m *Mesh, ranks int) (*Decomposition, error) {
 		centers[i] = m.Elements.CellCenter(i)
 	}
 	bisect(m, elems, centers, 0, ranks, d.Owner)
-	d.finish(m)
+	d.finish()
 	return d, nil
 }
 
@@ -105,7 +101,6 @@ func DecomposeWeighted(m *Mesh, ranks int, weights []float64) (*Decomposition, e
 		Ranks:      ranks,
 		Owner:      make([]int, n),
 		ElementsOf: make([][]int, ranks),
-		boxes:      make([]geom.AABB, ranks),
 	}
 	elems := make([]int, n)
 	for i := range elems {
@@ -116,7 +111,7 @@ func DecomposeWeighted(m *Mesh, ranks int, weights []float64) (*Decomposition, e
 		centers[i] = m.Elements.CellCenter(i)
 	}
 	bisectWeighted(m, elems, centers, weights, 0, ranks, d.Owner)
-	d.finish(m)
+	d.finish()
 	return d, nil
 }
 
@@ -177,9 +172,9 @@ func bisectWeighted(m *Mesh, elems []int, centers []geom.Vec3, weights []float64
 	bisectWeighted(m, elems[cut:], centers, weights, rank0+loRanks, hiRanks, owner)
 }
 
-// FromOwner rebuilds a full Decomposition (per-rank element lists and
-// bounding boxes) from an explicit element→rank assignment, validating every
-// entry. It is how time-varying mappings re-enter the static query machinery:
+// FromOwner rebuilds a full Decomposition (with its per-rank element lists)
+// from an explicit element→rank assignment, validating every entry. It is
+// how time-varying mappings re-enter the static query machinery:
 // a rebalance policy emits a new owner slice and FromOwner makes it a
 // Decomposition that SphereOwners and the ghost paths can use unchanged.
 func FromOwner(m *Mesh, ranks int, owner []int) (*Decomposition, error) {
@@ -194,7 +189,6 @@ func FromOwner(m *Mesh, ranks int, owner []int) (*Decomposition, error) {
 		Ranks:      ranks,
 		Owner:      make([]int, n),
 		ElementsOf: make([][]int, ranks),
-		boxes:      make([]geom.AABB, ranks),
 	}
 	for e, r := range owner {
 		if r < 0 || r >= ranks {
@@ -202,22 +196,15 @@ func FromOwner(m *Mesh, ranks int, owner []int) (*Decomposition, error) {
 		}
 		d.Owner[e] = r
 	}
-	d.finish(m)
+	d.finish()
 	return d, nil
 }
 
-// finish derives ElementsOf and the per-rank bounding boxes from Owner.
-func (d *Decomposition) finish(m *Mesh) {
+// finish derives ElementsOf from Owner. Elements are visited in ascending
+// order, so every rank's list comes out sorted.
+func (d *Decomposition) finish() {
 	for e, r := range d.Owner {
 		d.ElementsOf[r] = append(d.ElementsOf[r], e)
-	}
-	for r := range d.ElementsOf {
-		sort.Ints(d.ElementsOf[r])
-		box := geom.EmptyBox()
-		for _, e := range d.ElementsOf[r] {
-			box = box.Union(m.ElementBox(e))
-		}
-		d.boxes[r] = box
 	}
 }
 
@@ -227,29 +214,6 @@ func (d *Decomposition) RankOf(e int) int { return d.Owner[e] }
 // NumElementsOf returns how many elements rank r owns (the paper's per-
 // processor N_el).
 func (d *Decomposition) NumElementsOf(r int) int { return len(d.ElementsOf[r]) }
-
-// RankBox returns the bounding box of rank r's element set. Ranks owning no
-// elements report an empty box.
-func (d *Decomposition) RankBox(r int) geom.AABB { return d.boxes[r] }
-
-// RanksInSphere appends to dst every rank whose element-set bounding box
-// intersects the ball (c, radius), excluding rank `exclude` (pass -1 to
-// exclude none), and returns the extended slice.
-//
-// This conservative query over rank boxes is refined by callers that need
-// exact element-level tests; for compact recursive-bisection partitions the
-// boxes overlap little, so the overestimate is small.
-func (d *Decomposition) RanksInSphere(dst []int, c geom.Vec3, radius float64, exclude int) []int {
-	for r, box := range d.boxes {
-		if r == exclude {
-			continue
-		}
-		if box.IntersectsSphere(c, radius) {
-			dst = append(dst, r)
-		}
-	}
-	return dst
-}
 
 // Imbalance returns max/mean element count across ranks, a load-balance
 // figure of merit for the fluid (element) workload. A perfectly balanced

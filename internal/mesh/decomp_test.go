@@ -15,6 +15,28 @@ func mustMesh(t *testing.T, ex, ey, ez int) *Mesh {
 	return m
 }
 
+// rankBox is the bounding box of rank r's elements (empty for a rank that
+// owns none).
+func rankBox(m *Mesh, d *Decomposition, r int) geom.AABB {
+	box := geom.EmptyBox()
+	for _, e := range d.ElementsOf[r] {
+		box = box.Union(m.ElementBox(e))
+	}
+	return box
+}
+
+// ranksInSphere is the conservative box-level ghost query: every rank whose
+// element bounding box intersects the ball (c, radius).
+func ranksInSphere(m *Mesh, d *Decomposition, c geom.Vec3, radius float64) []int {
+	var out []int
+	for r := 0; r < d.Ranks; r++ {
+		if rankBox(m, d, r).IntersectsSphere(c, radius) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 func TestDecomposeValidation(t *testing.T) {
 	m := mustMesh(t, 4, 4, 1)
 	if _, err := Decompose(m, 0); err == nil {
@@ -85,8 +107,8 @@ func TestDecomposeMoreRanksThanElements(t *testing.T) {
 	if total != 4 {
 		t.Errorf("total elements assigned = %d", total)
 	}
-	// Empty ranks must have empty boxes and never match sphere queries.
-	hits := d.RanksInSphere(nil, geom.V(1, 1, 0.5), 100, -1)
+	// Empty ranks never match sphere queries.
+	hits := NewSphereOwners(m, d).Ranks(nil, geom.V(1, 1, 0.5), 100, -1)
 	nonEmpty := 0
 	for r := 0; r < 9; r++ {
 		if d.NumElementsOf(r) > 0 {
@@ -108,7 +130,7 @@ func TestDecomposeSpatialCompactness(t *testing.T) {
 	}
 	domVol := m.Domain().Volume()
 	for r := 0; r < 4; r++ {
-		frac := d.RankBox(r).Volume() / domVol
+		frac := rankBox(m, d, r).Volume() / domVol
 		if frac > 0.30 {
 			t.Errorf("rank %d box covers %.0f%% of domain; partition not compact", r, frac*100)
 		}
@@ -138,12 +160,13 @@ func TestRanksInSphereExclude(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := NewSphereOwners(m, d)
 	c := m.Domain().Center()
-	all := d.RanksInSphere(nil, c, 10, -1)
+	all := q.Ranks(nil, c, 10, -1)
 	if len(all) != 4 {
 		t.Fatalf("big sphere hit %d ranks, want 4", len(all))
 	}
-	excl := d.RanksInSphere(nil, c, 10, 2)
+	excl := q.Ranks(nil, c, 10, 2)
 	if len(excl) != 3 {
 		t.Fatalf("excluded query hit %d ranks, want 3", len(excl))
 	}
@@ -182,7 +205,7 @@ func TestSphereOwnersMatchesRanksInSphere(t *testing.T) {
 	}
 	// Element-level query must be a subset of (conservative) box-level.
 	boxLevel := map[int]bool{}
-	for _, r := range d.RanksInSphere(nil, c, 2.5, -1) {
+	for _, r := range ranksInSphere(m, d, c, 2.5) {
 		boxLevel[r] = true
 	}
 	for r := range got {

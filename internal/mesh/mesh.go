@@ -48,8 +48,16 @@ func (m *Mesh) NumGridPoints() int { return m.NumElements() * m.N * m.N * m.N }
 func (m *Mesh) Domain() geom.AABB { return m.Elements.Domain }
 
 // ElementAt returns the id of the element containing p, or -1 if p is
-// outside the domain.
+// outside the closed domain or has a NaN coordinate.
 func (m *Mesh) ElementAt(p geom.Vec3) int { return m.Elements.Locate(p) }
+
+// Home returns the element a particle at p belongs to: the element
+// containing p after clamping it onto the closed domain. It is never
+// negative. A position marginally outside the domain (trace round-off at a
+// reflecting wall) belongs to the element at the wall, and a NaN coordinate
+// clamps onto the low face. The element mappers, the solver's element
+// tiling and the interpolator all take a particle's element from Home.
+func (m *Mesh) Home(p geom.Vec3) int { return m.Elements.LocateClamped(p) }
 
 // ElementBox returns the bounding box of element id.
 func (m *Mesh) ElementBox(id int) geom.AABB { return m.Elements.CellBox(id) }

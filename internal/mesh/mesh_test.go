@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"testing"
 
 	"picpredict/internal/geom"
@@ -47,6 +48,32 @@ func TestElementAt(t *testing.T) {
 	}
 	if got := m.ElementAt(geom.V(-1, 0, 0)); got != -1 {
 		t.Errorf("out-of-domain ElementAt = %d", got)
+	}
+}
+
+// TestHome: Home is ElementAt of the position clamped onto the closed
+// domain, so it is never negative — also on the high face of a 49×49 unit
+// mesh, where lo + d·n rounds below 1, and for NaN coordinates.
+func TestHome(t *testing.T) {
+	m, err := New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 0.01)), 49, 49, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := m.Elements
+	for _, c := range []struct {
+		p    geom.Vec3
+		want int
+	}{
+		{geom.V(0.3, 0.7, 0.005), m.ElementAt(geom.V(0.3, 0.7, 0.005))},
+		{geom.V(1, 0.5, 0.005), g.Index(48, 24, 0)},
+		{geom.V(1.2, 0.5, 0.005), g.Index(48, 24, 0)},
+		{geom.V(-0.1, 1, 0.02), g.Index(0, 48, 0)},
+		{geom.V(math.NaN(), 0.5, 0.005), g.Index(0, 24, 0)},
+		{geom.V(math.Inf(1), math.Inf(-1), 0.005), g.Index(48, 0, 0)},
+	} {
+		if got := m.Home(c.p); got != c.want {
+			t.Errorf("Home(%v) = %d, want %d", c.p, got, c.want)
+		}
 	}
 }
 

@@ -77,21 +77,26 @@ const maxTileWindow = 2048
 // window with the scalar per-axis squared-distance tables — the exact
 // arithmetic of Grid.CellsInSphere — so the appended ranks match the
 // scalar Ranks call element for element, including their order.
+//
+// A member with a NaN or infinite coordinate has no ball to query: it gets
+// no ranks and stays out of the tile window.
 func (q *SphereOwners) RanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
-	if radius <= 0 || len(ids) == 0 {
+	box := geom.TileBounds(pos, ids)
+	if radius <= 0 || box.Empty() {
 		for range ids {
 			offs = append(offs, int32(len(flat)))
 		}
 		return flat, offs
 	}
-	box := geom.TileBounds(pos, ids)
 	g := q.m.Elements
 	win := box.Outset(radius)
 	ilo, jlo, klo := g.ClampCoords(win.Lo)
 	ihi, jhi, khi := g.ClampCoords(win.Hi)
 	if (ihi-ilo+1)*(jhi-jlo+1)*(khi-klo+1) > maxTileWindow {
 		for _, i := range ids {
-			flat = q.Ranks(flat, pos[i], radius, home[i])
+			if pos[i].IsFinite() {
+				flat = q.Ranks(flat, pos[i], radius, home[i])
+			}
 			offs = append(offs, int32(len(flat)))
 		}
 		return flat, offs
@@ -142,6 +147,10 @@ func (q *SphereOwners) RanksTile(flat []int, offs []int32, ids []int32, pos []ge
 	rv := geom.V(radius, radius, radius)
 	for _, pi := range ids {
 		p := pos[pi]
+		if !p.IsFinite() {
+			offs = append(offs, int32(len(flat)))
+			continue
+		}
 		h := home[pi]
 		pilo, pjlo, pklo := g.ClampCoords(p.Sub(rv))
 		pihi, pjhi, pkhi := g.ClampCoords(p.Add(rv))
@@ -151,8 +160,9 @@ func (q *SphereOwners) RanksTile(flat []int, offs []int32, ids []int32, pos []ge
 		q.bx, q.by, q.bz = dx2, dy2, dz2
 		start := len(flat)
 		// The particle window is contained in the tile window (the tile box
-		// outset by the radius bounds every member's ball box, and the cell
-		// coordinate maps are monotone), so the dense indexing is in range.
+		// outset by the radius bounds every finite member's ball box, and
+		// the cell coordinate maps are monotone), so the dense indexing is
+		// in range.
 		for k := pklo; k <= pkhi; k++ {
 			dkz := dz2[k-pklo]
 			krow := (k - klo) * wj * wi

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -53,8 +54,7 @@ func TestRanksTileMatchesScalar(t *testing.T) {
 				} else {
 					pos[i] = geom.V(cx+0.05*rng.Float64(), cy+0.05*rng.Float64(), 0)
 				}
-				e := m.ElementAt(pos[i].Clamp(m.Elements.Domain.Lo, m.Elements.Domain.Hi))
-				home[i] = d.RankOf(e)
+				home[i] = d.RankOf(m.Home(pos[i]))
 			}
 			qScalar := NewSphereOwners(m, d)
 			qTile := NewSphereOwners(m, d)
@@ -109,6 +109,47 @@ func TestRanksTileWindowFallback(t *testing.T) {
 		for k := range want {
 			if want[k] != g[k] {
 				t.Fatalf("particle %d: scalar %v tile %v", i, want, g)
+			}
+		}
+	}
+}
+
+// TestRanksTileNonFiniteMember: a member with a NaN or infinite coordinate,
+// placed first, in the middle or last of a tile, neither panics nor
+// stretches the tile window; it gets no ranks, and every finite member
+// keeps its scalar answer. Both the dense-window path (radius 0.05) and
+// the huge-window fallback (radius 0.7) are covered.
+func TestRanksTileNonFiniteMember(t *testing.T) {
+	m, err := New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 1)), 64, 64, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Decompose(m, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finite := []geom.Vec3{geom.V(0.49, 0.49, 0), geom.V(0.52, 0.47, 0), geom.V(0.51, 0.53, 0)}
+	for _, bad := range []geom.Vec3{
+		geom.V(math.NaN(), 0.5, 0), geom.V(0.5, math.Inf(1), 0), geom.V(math.Inf(-1), math.NaN(), 0),
+	} {
+		for at := 0; at <= len(finite); at++ {
+			pos := append(append(append([]geom.Vec3{}, finite[:at]...), bad), finite[at:]...)
+			home := make([]int, len(pos))
+			for i := range pos {
+				home[i] = d.RankOf(m.Home(pos[i]))
+			}
+			q := NewSphereOwners(m, d)
+			for _, radius := range []float64{0.05, 0.7} {
+				got := tileRankSets(NewSphereOwners(m, d), pos, home, radius)
+				for i := range pos {
+					var want []int
+					if i != at {
+						want = q.Ranks(nil, pos[i], radius, home[i])
+					}
+					if !equalSets(got[i], want) {
+						t.Fatalf("%v at %d, radius %g, particle %d: tile %v, want %v", bad, at, radius, i, got[i], want)
+					}
+				}
 			}
 		}
 	}

@@ -140,7 +140,7 @@ func TestFromOwnerRebuildsDecomposition(t *testing.T) {
 		if got, want := d.NumElementsOf(r), base.NumElementsOf(r); got != want {
 			t.Errorf("rank %d: %d elements, want %d", r, got, want)
 		}
-		if got, want := d.RankBox(r), base.RankBox(r); got != want {
+		if got, want := rankBox(m, d, r), rankBox(m, base, r); got != want {
 			t.Errorf("rank %d: box %+v, want %+v", r, got, want)
 		}
 	}

@@ -28,11 +28,14 @@ type StepTimings struct {
 }
 
 // StepInstrumented runs one solver iteration with the per-particle phases
-// executed as separate passes so each kernel can be timed individually. The
-// resulting particle state is identical to Step's: the fused loop evaluates
-// exactly the same expressions per particle, only loop structure differs.
-// Instrumented stepping always runs serially (timings of interleaved
-// goroutines would not be attributable to kernels).
+// executed as separate serial passes over the element tiles Step walks, so
+// each kernel Step runs can be timed individually; the element tiling is
+// built inside the interpolation timer. The resulting particle state is
+// identical to Step's: every pass evaluates exactly the same expressions
+// per particle, only loop structure differs. Projection runs with one
+// worker (timings of interleaved goroutines would not be attributable to
+// kernels), so with several Params.Workers the projected field equals
+// Step's up to floating-point addition order.
 func (s *Solver) StepInstrumented() StepTimings {
 	p := s.Params
 	var t StepTimings
@@ -42,16 +45,7 @@ func (s *Solver) StepInstrumented() StepTimings {
 	s.interp.BeginStep()
 	t.FluidAdvance = time.Since(start)
 
-	n := s.Particles.Len()
-	if cap(s.fluidAcc) < n {
-		s.fluidAcc = make([]geom.Vec3, n)
-	}
-	acc := s.fluidAcc[:n]
-	if cap(s.fluidVel) < n {
-		s.fluidVel = make([]geom.Vec3, n)
-	}
-	uf := s.fluidVel[:n]
-
+	acc := s.scratch()
 	var coll []geom.Vec3
 	if p.Collisions {
 		start = time.Now() //lint:allow determinism wall-clock kernel timing is this file's product (Model Generator training data)
@@ -61,49 +55,29 @@ func (s *Solver) StepInstrumented() StepTimings {
 
 	// Phase 1: interpolation (grid → particle).
 	start = time.Now() //lint:allow determinism wall-clock kernel timing is this file's product (Model Generator training data)
-	for i := 0; i < n; i++ {
-		uf[i] = s.interp.Velocity(s.Particles.Pos[i])
-	}
+	s.buildTiling()
+	nt := s.tiling.NumTiles()
+	s.eachTile(0, nt, func(tl int, ids []int32) { s.interpolateTile(tl, ids, acc) })
 	t.Interpolation = time.Since(start)
 
 	// Phase 2: equation solver.
 	start = time.Now() //lint:allow determinism wall-clock kernel timing is this file's product (Model Generator training data)
-	for i := 0; i < n; i++ {
-		a := s.drag(i, uf[i]).Add(p.Gravity)
-		if coll != nil {
-			a = a.Add(coll[i])
-		}
-		acc[i] = a
-	}
+	s.eachTile(0, nt, func(_ int, ids []int32) { s.solveTile(ids, acc, coll) })
 	t.EqSolver = time.Since(start)
 
 	// Phase 3: particle pusher.
 	start = time.Now() //lint:allow determinism wall-clock kernel timing is this file's product (Model Generator training data)
-	switch p.Pusher {
-	case PushRK2:
-		s.pushRK2(acc, 0, n)
-	default:
-		s.pushEuler(acc, 0, n)
-	}
+	s.eachTile(0, nt, func(_ int, ids []int32) { s.pushTile(ids, acc) })
 	t.Pusher = time.Since(start)
 
 	// Phase 4: projection (particle → grid).
 	start = time.Now() //lint:allow determinism wall-clock kernel timing is this file's product (Model Generator training data)
-	s.projectSerial()
+	s.project(1)
 	t.Projection = time.Since(start)
 
 	s.time += p.Dt
 	s.step++
 	return t
-}
-
-// projectSerial runs the projection phase single-threaded regardless of
-// Params.Workers, for attributable timings.
-func (s *Solver) projectSerial() {
-	for e := range s.proj {
-		s.proj[e] = 0
-	}
-	s.projectRange(0, s.Particles.Len(), s.proj)
 }
 
 // TimedCreateGhostParticles runs the create_ghost_particles kernel against

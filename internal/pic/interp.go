@@ -86,17 +86,14 @@ func (ip *Interpolator) nodal(e int) []geom.Vec3 {
 	return f
 }
 
-// Velocity returns the fluid velocity interpolated to point p. Points
-// outside the mesh domain are clamped onto it first, matching the clamped
-// particle positions maintained by the solver.
+// Velocity returns the fluid velocity interpolated to point p within its
+// home element (mesh.Home). Points outside the mesh domain are clamped
+// onto it first, matching the clamped particle positions maintained by the
+// solver.
 func (ip *Interpolator) Velocity(p geom.Vec3) geom.Vec3 {
 	d := ip.mesh.Domain()
-	p = p.Clamp(d.Lo, d.Hi)
-	e := ip.mesh.ElementAt(p)
-	if e < 0 {
-		return geom.Vec3{}
-	}
-	return ip.velocityNodal(e, ip.nodal(e), p)
+	e := ip.mesh.Home(p)
+	return ip.velocityNodal(e, ip.nodal(e), p.Clamp(d.Lo, d.Hi))
 }
 
 // velocityNodal interpolates the nodal field f of element e to the clamped

@@ -1,0 +1,94 @@
+package pic
+
+import (
+	"picpredict/internal/geom"
+	"picpredict/internal/mesh"
+)
+
+// This file keeps the per-particle solver loops the element-tiled Step
+// replaced, as the reference the tiled paths are checked against
+// (tiled_test.go): phases 1–3 in particle-index order with the cached
+// interpolator lookup, and the ghost kernel with one raw-position home
+// lookup and one SphereOwners.Ranks query per particle.
+
+// oracleStep is Step with phases 1–3 run by phaseRange over the whole
+// population; projection runs with projWorkers workers.
+func oracleStep(s *Solver, projWorkers int) {
+	p := s.Params
+	s.Flow.Advance(s.time + p.Dt)
+	s.interp.BeginStep()
+	acc := s.scratch()
+	var coll []geom.Vec3
+	if p.Collisions {
+		coll = s.collide.Forces(s.Particles, p.CollisionStiffness)
+	}
+	s.phaseRange(0, len(acc), acc, coll)
+	s.project(projWorkers)
+	s.time += p.Dt
+	s.step++
+}
+
+// phaseRange is the per-particle reference body of phases 1–3 over the index
+// range [lo, hi).
+func (s *Solver) phaseRange(lo, hi int, acc, coll []geom.Vec3) {
+	p := s.Params
+	for i := lo; i < hi; i++ {
+		uf := s.interp.Velocity(s.Particles.Pos[i]) // Phase 1: interpolation
+		a := s.drag(i, uf).Add(p.Gravity)           // Phase 2: equation solver
+		if coll != nil {
+			a = a.Add(coll[i])
+		}
+		acc[i] = a
+	}
+	switch p.Pusher { // Phase 3: particle pusher
+	case PushRK2:
+		s.pushRK2(acc, lo, hi)
+	default:
+		s.pushEuler(acc, lo, hi)
+	}
+}
+
+func (s *Solver) pushEuler(acc []geom.Vec3, lo, hi int) {
+	dt := s.Params.Dt
+	ps := s.Particles
+	for i := lo; i < hi; i++ {
+		ps.Vel[i] = ps.Vel[i].Add(acc[i].Scale(dt))
+		ps.Pos[i] = ps.Pos[i].Add(ps.Vel[i].Scale(dt))
+		s.bounce(i)
+	}
+}
+
+func (s *Solver) pushRK2(acc []geom.Vec3, lo, hi int) {
+	dt := s.Params.Dt
+	ps := s.Particles
+	for i := lo; i < hi; i++ {
+		// Midpoint state.
+		vMid := ps.Vel[i].Add(acc[i].Scale(dt / 2))
+		pMid := ps.Pos[i].Add(ps.Vel[i].Scale(dt / 2))
+		ufMid := s.interp.Velocity(pMid)
+		aMid := s.dragAt(i, vMid, ufMid).Add(s.Params.Gravity)
+		ps.Vel[i] = ps.Vel[i].Add(aMid.Scale(dt))
+		ps.Pos[i] = ps.Pos[i].Add(vMid.Scale(dt))
+		s.bounce(i)
+	}
+}
+
+// oracleGhosts is the per-particle reference of CreateGhostParticles.
+func oracleGhosts(s *Solver, d *mesh.Decomposition) (perRank []int, total int) {
+	q := mesh.NewSphereOwners(s.Mesh, d)
+	perRank = make([]int, d.Ranks)
+	ps := s.Particles
+	var buf []int
+	for i := 0; i < ps.Len(); i++ {
+		home := -1
+		if e := s.Mesh.ElementAt(ps.Pos[i]); e >= 0 {
+			home = d.RankOf(e)
+		}
+		buf = q.Ranks(buf[:0], ps.Pos[i], s.Params.FilterRadius, home)
+		for _, r := range buf {
+			perRank[r]++
+			total++
+		}
+	}
+	return perRank, total
+}

@@ -27,16 +27,14 @@ type Solver struct {
 	projPartials [][]float64 // per-worker partial fields (parallel mode)
 	time         float64
 	step         int
-	fluidAcc     []geom.Vec3 // scratch: per-particle fluid acceleration
-	fluidVel     []geom.Vec3 // scratch: per-particle fluid velocity (instrumented mode)
+	accel        []geom.Vec3 // scratch: per-particle fluid velocity, then acceleration
 
 	// Element tiling of the particle population, rebuilt per step: particles
 	// resident in the same element are processed as a block so the element's
 	// nodal field is fetched once per tile rather than once per particle.
-	tb           tile.Builder
-	tiling       *tile.Tiling
-	cells        []int32 // scratch: home element per particle
-	scalarPhases bool    // force the per-particle reference loops (tests, benches)
+	tb     tile.Builder
+	tiling *tile.Tiling
+	cells  []int32 // scratch: home element per particle
 }
 
 // NewSolver assembles a solver; it validates parameters and rejects
@@ -82,12 +80,7 @@ func (s *Solver) Step() {
 	// interpolation cache (fluid-solver phase).
 	s.Flow.Advance(s.time + p.Dt)
 	s.interp.BeginStep()
-
-	n := s.Particles.Len()
-	if cap(s.fluidAcc) < n {
-		s.fluidAcc = make([]geom.Vec3, n)
-	}
-	acc := s.fluidAcc[:n]
+	acc := s.scratch()
 
 	// Phase 2 inputs — collision forces (optional).
 	var coll []geom.Vec3
@@ -95,105 +88,101 @@ func (s *Solver) Step() {
 		coll = s.collide.Forces(s.Particles, p.CollisionStiffness)
 	}
 
-	// Phases 1–3: interpolate, solve momentum equation, push. The default
-	// path walks the population element-tile by element-tile so each
-	// occupied element's nodal field is fetched once per tile; per-particle
-	// arithmetic is unchanged, so the result is bit-identical to the
-	// per-particle reference loop (kept for degenerate inputs and benches).
-	if s.buildTiling() {
-		s.parallelTiles(n, func(t0, t1 int) { s.phaseTiles(t0, t1, acc, coll) })
-	} else {
-		s.parallelRange(n, func(lo, hi int) { s.phaseRange(lo, hi, acc, coll) })
-	}
+	// Phases 1–3 — interpolate, solve the momentum equation, push — walk
+	// the population element tile by element tile, so each occupied
+	// element's nodal field is fetched once per tile.
+	s.buildTiling()
+	s.parallelTiles(len(acc), func(t0, t1 int) {
+		s.eachTile(t0, t1, func(t int, ids []int32) {
+			s.interpolateTile(t, ids, acc)
+			s.solveTile(ids, acc, coll)
+			s.pushTile(ids, acc)
+		})
+	})
 
 	// Phase 4: projection (particle → grid).
-	s.project()
+	s.project(p.Workers)
 
 	s.time += p.Dt
 	s.step++
 }
 
-// phaseRange is the per-particle reference body of phases 1–3 over the index
-// range [lo, hi).
-func (s *Solver) phaseRange(lo, hi int, acc, coll []geom.Vec3) {
-	p := s.Params
-	for i := lo; i < hi; i++ {
-		uf := s.interp.Velocity(s.Particles.Pos[i]) // Phase 1: interpolation
-		a := s.drag(i, uf).Add(p.Gravity)           // Phase 2: equation solver
-		if coll != nil {
-			a = a.Add(coll[i])
-		}
-		acc[i] = a
+// scratch returns the per-particle buffer phases 1–3 share, sized to the
+// population: phase 1 writes each particle's fluid velocity into it, and
+// phase 2 replaces that with the acceleration phase 3 pushes with.
+func (s *Solver) scratch() []geom.Vec3 {
+	n := s.Particles.Len()
+	if cap(s.accel) < n {
+		s.accel = make([]geom.Vec3, n)
 	}
-	switch p.Pusher { // Phase 3: particle pusher
-	case PushRK2:
-		s.pushRK2(acc, lo, hi)
-	default:
-		s.pushEuler(acc, lo, hi)
-	}
+	return s.accel[:n]
 }
 
-// phaseTiles runs phases 1–3 over element tiles [t0, t1). Tile ids equal
-// element ids, so the tile's nodal field is fetched exactly once and handed
-// to the lock-free interpolation helper for every resident particle.
-func (s *Solver) phaseTiles(t0, t1 int, acc, coll []geom.Vec3) {
-	p := s.Params
-	d := s.Mesh.Domain()
-	for t := t0; t < t1; t++ {
-		ids := s.tiling.Tile(t)
-		if len(ids) == 0 {
-			continue
-		}
-		f := s.interp.nodal(t)
-		for _, id := range ids {
-			i := int(id)
-			q := s.Particles.Pos[i].Clamp(d.Lo, d.Hi)
-			uf := s.interp.velocityNodal(t, f, q) // Phase 1: interpolation
-			a := s.drag(i, uf).Add(p.Gravity)     // Phase 2: equation solver
-			if coll != nil {
-				a = a.Add(coll[i])
-			}
-			acc[i] = a
-		}
-		switch p.Pusher { // Phase 3: particle pusher
-		case PushRK2:
-			s.pushRK2Tile(acc, ids)
-		default:
-			s.pushEulerTile(acc, ids)
-		}
-	}
-}
-
-// buildTiling groups the population by home element for this step's
-// grid-interaction phases, using the same clamped lookup as the
-// interpolator. It reports false when tiling is forced off or a position has
-// no element (non-finite coordinates); callers then use the per-particle
-// reference loop, which reproduces those degenerate cases exactly.
-func (s *Solver) buildTiling() bool {
-	if s.scalarPhases {
-		return false
-	}
+// buildTiling groups the population by home element (mesh.Home) for this
+// step's grid-interaction phases and the ghost kernel. Tile ids equal
+// element ids.
+func (s *Solver) buildTiling() {
 	n := s.Particles.Len()
 	if cap(s.cells) < n {
 		s.cells = make([]int32, n)
 	}
 	cells := s.cells[:n]
-	d := s.Mesh.Domain()
-	for i := 0; i < n; i++ {
-		e := s.Mesh.ElementAt(s.Particles.Pos[i].Clamp(d.Lo, d.Hi))
-		if e < 0 {
-			return false
-		}
-		cells[i] = int32(e)
+	for i, p := range s.Particles.Pos[:n] {
+		cells[i] = int32(s.Mesh.Home(p))
 	}
 	s.cells = cells
 	s.tiling = s.tb.FromCells(cells, s.Mesh.NumElements())
-	return true
+}
+
+// eachTile calls fn with every occupied tile in [t0, t1) and its particle
+// ids, so an element no particle occupies never has its nodal field built.
+func (s *Solver) eachTile(t0, t1 int, fn func(t int, ids []int32)) {
+	for t := t0; t < t1; t++ {
+		if ids := s.tiling.Tile(t); len(ids) > 0 {
+			fn(t, ids)
+		}
+	}
+}
+
+// interpolateTile runs phase 1 (grid → particle) over the particles ids of
+// element tile t: the element's nodal field is fetched once and
+// interpolated into uf at every member's clamped position.
+func (s *Solver) interpolateTile(t int, ids []int32, uf []geom.Vec3) {
+	d := s.Mesh.Domain()
+	f := s.interp.nodal(t)
+	for _, id := range ids {
+		uf[id] = s.interp.velocityNodal(t, f, s.Particles.Pos[id].Clamp(d.Lo, d.Hi))
+	}
+}
+
+// solveTile runs phase 2, the momentum equation, in place: acc holds each
+// particle's interpolated fluid velocity on entry and its acceleration —
+// drag, gravity and (optional) collision forces — on return.
+func (s *Solver) solveTile(ids []int32, acc, coll []geom.Vec3) {
+	g := s.Params.Gravity
+	for _, id := range ids {
+		i := int(id)
+		a := s.drag(i, acc[i]).Add(g)
+		if coll != nil {
+			a = a.Add(coll[i])
+		}
+		acc[i] = a
+	}
+}
+
+// pushTile runs phase 3, the particle pusher selected by Params.Pusher.
+func (s *Solver) pushTile(ids []int32, acc []geom.Vec3) {
+	switch s.Params.Pusher {
+	case PushRK2:
+		s.pushRK2Tile(acc, ids)
+	default:
+		s.pushEulerTile(acc, ids)
+	}
 }
 
 // parallelTiles splits the tile list across Params.Workers goroutines along
-// the tiling's balanced particle-count cuts (serial under the same
-// population threshold as parallelRange).
+// the tiling's balanced particle-count cuts; it runs serially when
+// Workers ≤ 1 or the population n is under two particles per worker.
 func (s *Solver) parallelTiles(n int, fn func(t0, t1 int)) {
 	workers := s.Params.Workers
 	if workers <= 1 || n < 2*workers {
@@ -212,66 +201,12 @@ func (s *Solver) parallelTiles(n int, fn func(t0, t1 int)) {
 	wg.Wait()
 }
 
-// parallelRange splits [0, n) across Params.Workers goroutines (serial when
-// Workers ≤ 1) and waits for completion.
-func (s *Solver) parallelRange(n int, fn func(lo, hi int)) {
-	workers := s.Params.Workers
-	if workers <= 1 || n < 2*workers {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fn(lo, hi)
-		}()
-	}
-	wg.Wait()
-}
-
 // drag returns the Stokes drag acceleration of particle i under fluid
-// velocity uf: (uf − v) / τ_p with τ_p = ρ_p d² / (18 μ).
-func (s *Solver) drag(i int, uf geom.Vec3) geom.Vec3 {
-	ps := s.Particles
-	tau := ps.Density[i] * ps.Diameter[i] * ps.Diameter[i] / (18 * s.Params.Mu)
-	if tau <= 0 {
-		return geom.Vec3{}
-	}
-	return uf.Sub(ps.Vel[i]).Scale(1 / tau)
-}
+// velocity uf at its current velocity.
+func (s *Solver) drag(i int, uf geom.Vec3) geom.Vec3 { return s.dragAt(i, s.Particles.Vel[i], uf) }
 
-func (s *Solver) pushEuler(acc []geom.Vec3, lo, hi int) {
-	dt := s.Params.Dt
-	ps := s.Particles
-	for i := lo; i < hi; i++ {
-		ps.Vel[i] = ps.Vel[i].Add(acc[i].Scale(dt))
-		ps.Pos[i] = ps.Pos[i].Add(ps.Vel[i].Scale(dt))
-		s.bounce(i)
-	}
-}
-
-func (s *Solver) pushRK2(acc []geom.Vec3, lo, hi int) {
-	dt := s.Params.Dt
-	ps := s.Particles
-	for i := lo; i < hi; i++ {
-		// Midpoint state.
-		vMid := ps.Vel[i].Add(acc[i].Scale(dt / 2))
-		pMid := ps.Pos[i].Add(ps.Vel[i].Scale(dt / 2))
-		ufMid := s.interp.Velocity(pMid)
-		aMid := s.dragAt(i, vMid, ufMid).Add(s.Params.Gravity)
-		ps.Vel[i] = ps.Vel[i].Add(aMid.Scale(dt))
-		ps.Pos[i] = ps.Pos[i].Add(vMid.Scale(dt))
-		s.bounce(i)
-	}
-}
-
-// pushEulerTile and pushRK2Tile are the tile-id-list forms of the pushers:
-// identical per-particle updates, iterated over a tile's member ids
-// (ascending, so within a tile the visit order matches the range form).
+// pushEulerTile and pushRK2Tile advance a tile's member ids (ascending) by
+// one explicit Euler or midpoint step.
 func (s *Solver) pushEulerTile(acc []geom.Vec3, ids []int32) {
 	dt := s.Params.Dt
 	ps := s.Particles
@@ -300,6 +235,8 @@ func (s *Solver) pushRK2Tile(acc []geom.Vec3, ids []int32) {
 	}
 }
 
+// dragAt returns the Stokes drag acceleration of particle i at velocity v
+// under fluid velocity uf: (uf − v) / τ_p with τ_p = ρ_p d² / (18 μ).
 func (s *Solver) dragAt(i int, v, uf geom.Vec3) geom.Vec3 {
 	ps := s.Particles
 	tau := ps.Density[i] * ps.Diameter[i] * ps.Diameter[i] / (18 * s.Params.Mu)
@@ -342,16 +279,15 @@ func (s *Solver) bounce(i int) {
 
 // project deposits each particle's volume onto the elements inside its
 // projection filter with a linear hat weight w(r) = 1 − r/R, normalised per
-// particle so total deposited volume equals particle volume. In parallel
-// mode each worker accumulates into a private partial field; partials
-// reduce in fixed worker order, so results are deterministic for a given
-// worker count (and equal to serial up to floating-point addition order).
-func (s *Solver) project() {
+// particle so total deposited volume equals particle volume. With several
+// workers each accumulates into a private partial field; partials reduce
+// in fixed worker order, so results are deterministic for a given worker
+// count (and equal to serial up to floating-point addition order).
+func (s *Solver) project(workers int) {
 	for e := range s.proj {
 		s.proj[e] = 0
 	}
 	n := s.Particles.Len()
-	workers := s.Params.Workers
 	if workers <= 1 || n < 2*workers {
 		s.projectRange(0, n, s.proj)
 		return
@@ -429,71 +365,30 @@ func (s *Solver) projectRange(lo, hi int, proj []float64) {
 // than the particle's home rank) whose elements its projection filter
 // touches. It returns the per-rank ghost counts and the total number of
 // ghost particles created.
+//
+// Particles are grouped by home element and each tile's ghost query is
+// answered in one batch by mesh.SphereOwners.RanksTile, whose per-particle
+// rank sets equal the per-particle SphereOwners.Ranks query exactly; only
+// counts are accumulated, so the order within a set does not matter. A
+// particle with a NaN or infinite coordinate creates no ghosts.
 func (s *Solver) CreateGhostParticles(d *mesh.Decomposition) (perRank []int, total int) {
-	gf := NewGhostFinder(s.Mesh, d)
+	q := mesh.NewSphereOwners(s.Mesh, d)
+	s.buildTiling()
+	homes := make([]int, len(s.cells))
+	for i, e := range s.cells {
+		homes[i] = d.RankOf(int(e))
+	}
 	perRank = make([]int, d.Ranks)
-	ps := s.Particles
-	n := ps.Len()
-	if !s.scalarPhases && s.ghostTiling() {
-		// Batched path: group particles by home element and answer the
-		// ghost query one tile at a time through the matrixised
-		// SphereOwners.RanksTile, whose per-particle rank sets equal the
-		// scalar query's exactly. Only counts are accumulated, so the
-		// unspecified within-set order does not matter.
-		homes := make([]int, n)
-		for i := 0; i < n; i++ {
-			homes[i] = d.RankOf(int(s.cells[i]))
-		}
-		var flat []int
-		var offs []int32
-		for t := 0; t < s.tiling.NumTiles(); t++ {
-			ids := s.tiling.Tile(t)
-			if len(ids) == 0 {
-				continue
-			}
-			flat, offs = gf.q.RanksTile(flat[:0], offs[:0], ids, ps.Pos, homes, s.Params.FilterRadius)
-			for _, r := range flat {
-				perRank[r]++
-			}
-			total += len(flat)
-		}
-		return perRank, total
-	}
-	var buf []int
-	for i := 0; i < n; i++ {
-		home := -1
-		if e := s.Mesh.ElementAt(ps.Pos[i]); e >= 0 {
-			home = d.RankOf(e)
-		}
-		buf = gf.Ranks(buf[:0], ps.Pos[i], s.Params.FilterRadius, home)
-		for _, r := range buf {
+	var flat []int
+	var offs []int32
+	s.eachTile(0, s.tiling.NumTiles(), func(_ int, ids []int32) {
+		flat, offs = q.RanksTile(flat[:0], offs[:0], ids, s.Particles.Pos, homes, s.Params.FilterRadius)
+		for _, r := range flat {
 			perRank[r]++
-			total++
 		}
-	}
+		total += len(flat)
+	})
 	return perRank, total
-}
-
-// ghostTiling groups the population by home element using the same
-// raw-position lookup as the scalar ghost kernel. It reports false when any
-// particle lies outside every element (scalar handles those with home = −1)
-// so the batched path only ever sees well-homed particles.
-func (s *Solver) ghostTiling() bool {
-	n := s.Particles.Len()
-	if cap(s.cells) < n {
-		s.cells = make([]int32, n)
-	}
-	cells := s.cells[:n]
-	for i := 0; i < n; i++ {
-		e := s.Mesh.ElementAt(s.Particles.Pos[i])
-		if e < 0 {
-			return false
-		}
-		cells[i] = int32(e)
-	}
-	s.cells = cells
-	s.tiling = s.tb.FromCells(cells, s.Mesh.NumElements())
-	return true
 }
 
 // Run advances the solver `steps` iterations, invoking observe (if non-nil)

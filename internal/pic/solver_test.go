@@ -176,6 +176,31 @@ func TestProjectionConservesVolume(t *testing.T) {
 	if math.Abs(total-want) > 1e-15+1e-9*want {
 		t.Errorf("projected volume %v, want %v", total, want)
 	}
+
+	// At filter 0 a particle on the high face of a 49×49 unit mesh, where
+	// lo + d·n rounds below 1, deposits into the last element.
+	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 0.01)), 49, 49, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps = particle.New(2)
+	ps.Add(0, geom.V(1, 0.5, 0.005), geom.Vec3{}, 1e-4, 1000)
+	ps.Add(1, geom.V(0.5, 0.5, 0.005), geom.Vec3{}, 1e-4, 1000)
+	p := baseParams()
+	p.FilterRadius = 0
+	s, err = NewSolver(m, fluid.Uniform{}, ps, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Step()
+	total = 0
+	for _, v := range s.Projection() {
+		total += v
+	}
+	want = ps.Mass(0)/ps.Density[0] + ps.Mass(1)/ps.Density[1]
+	if math.Abs(total-want) > 1e-15+1e-9*want {
+		t.Errorf("49×49 mesh, face particle at filter 0: projected volume %v, want %v", total, want)
+	}
 }
 
 func TestProjectionZeroFilterDepositsHome(t *testing.T) {
@@ -224,51 +249,6 @@ func TestCreateGhostParticles(t *testing.T) {
 	}
 	if sum != total {
 		t.Errorf("perRank sum %d != total %d", sum, total)
-	}
-}
-
-func TestGhostFinderScalesWithFilter(t *testing.T) {
-	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(8, 8, 1)), 16, 16, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := mesh.Decompose(m, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gf := NewGhostFinder(m, d)
-	pos := geom.V(4, 4, 0.5)
-	home := d.RankOf(m.ElementAt(pos))
-	small := gf.Count(pos, 0.3, home)
-	large := gf.Count(pos, 3.0, home)
-	if small >= large {
-		t.Errorf("ghost count did not grow with filter: %d vs %d", small, large)
-	}
-	if got := gf.Count(pos, 0, home); got != 0 {
-		t.Errorf("zero filter produced %d ghosts", got)
-	}
-}
-
-func TestGhostFinderNoDuplicates(t *testing.T) {
-	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(4, 4, 1)), 8, 8, 1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := mesh.Decompose(m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gf := NewGhostFinder(m, d)
-	ranks := gf.Ranks(nil, geom.V(2, 2, 0.5), 2.5, -1)
-	seen := map[int]bool{}
-	for _, r := range ranks {
-		if seen[r] {
-			t.Fatalf("duplicate rank %d in %v", r, ranks)
-		}
-		seen[r] = true
-	}
-	if len(ranks) != 4 {
-		t.Errorf("big ball found %d ranks, want 4", len(ranks))
 	}
 }
 

@@ -2,6 +2,7 @@ package pic
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"picpredict/internal/fluid"
@@ -11,9 +12,8 @@ import (
 )
 
 // tiledFixture builds a solver over a sheared cloud in a spatially varying
-// flow; scalar forces the per-particle reference loops instead of the
-// element-tiled default.
-func tiledFixture(t *testing.T, workers int, pusher PusherKind, collisions, scalar bool) *Solver {
+// flow.
+func tiledFixture(t *testing.T, workers int, pusher PusherKind, collisions bool) *Solver {
 	t.Helper()
 	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 0.01)), 16, 16, 1, 4)
 	if err != nil {
@@ -42,42 +42,54 @@ func tiledFixture(t *testing.T, workers int, pusher PusherKind, collisions, scal
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.scalarPhases = scalar
 	return s
 }
 
+// sameState fails the test unless a and b hold bit-identical particles,
+// projection fields and nodal-field build counts.
+func sameState(t *testing.T, what string, step int, ref, got *Solver) {
+	t.Helper()
+	for i := 0; i < ref.Particles.Len(); i++ {
+		if ref.Particles.Pos[i] != got.Particles.Pos[i] || ref.Particles.Vel[i] != got.Particles.Vel[i] {
+			t.Fatalf("%s step %d particle %d: oracle %v/%v, got %v/%v", what, step, i,
+				ref.Particles.Pos[i], ref.Particles.Vel[i], got.Particles.Pos[i], got.Particles.Vel[i])
+		}
+	}
+	for e := range ref.Projection() {
+		if ref.Projection()[e] != got.Projection()[e] {
+			t.Fatalf("%s step %d: projection diverged at element %d: oracle %v, got %v",
+				what, step, e, ref.Projection()[e], got.Projection()[e])
+		}
+	}
+	if ref.interp.NodesBuilt() != got.interp.NodesBuilt() {
+		t.Fatalf("%s step %d: nodal builds diverged: oracle %d, got %d",
+			what, step, ref.interp.NodesBuilt(), got.interp.NodesBuilt())
+	}
+}
+
 // TestTiledStepMatchesScalar is the solver half of the tiled-layout
-// contract: processing particles element-tile by element-tile must leave
-// every particle and the projection field bit-identical to the per-particle
-// reference loop, for both pushers, serial and parallel, with and without
-// collision forces.
+// contract: Step and StepInstrumented, which walk particles element tile by
+// element tile, must leave every particle, the projection field and the
+// nodal-build count bit-identical to the per-particle oracle, for both
+// pushers, serial and parallel, with and without collision forces.
 func TestTiledStepMatchesScalar(t *testing.T) {
 	for _, pusher := range []PusherKind{PushEuler, PushRK2} {
 		for _, workers := range []int{0, 4} {
 			for _, collisions := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%v/w=%d/coll=%v", pusher, workers, collisions), func(t *testing.T) {
-					ref := tiledFixture(t, workers, pusher, collisions, true)
-					got := tiledFixture(t, workers, pusher, collisions, false)
+					ref := tiledFixture(t, workers, pusher, collisions)
+					got := tiledFixture(t, workers, pusher, collisions)
+					inst := tiledFixture(t, workers, pusher, collisions)
 					for step := 0; step < 25; step++ {
-						ref.Step()
+						oracleStep(ref, workers)
 						got.Step()
-						for i := 0; i < ref.Particles.Len(); i++ {
-							if ref.Particles.Pos[i] != got.Particles.Pos[i] || ref.Particles.Vel[i] != got.Particles.Vel[i] {
-								t.Fatalf("step %d particle %d: scalar %v/%v tiled %v/%v",
-									step, i, ref.Particles.Pos[i], ref.Particles.Vel[i],
-									got.Particles.Pos[i], got.Particles.Vel[i])
-							}
-						}
-					}
-					for e := range ref.Projection() {
-						if ref.Projection()[e] != got.Projection()[e] {
-							t.Fatalf("projection diverged at element %d: %v vs %v",
-								e, ref.Projection()[e], got.Projection()[e])
-						}
-					}
-					if ref.interp.NodesBuilt() != got.interp.NodesBuilt() {
-						t.Fatalf("nodal builds diverged: scalar %d tiled %d",
-							ref.interp.NodesBuilt(), got.interp.NodesBuilt())
+						sameState(t, "Step", step, ref, got)
+						inst.StepInstrumented()
+						// StepInstrumented projects with one worker; the
+						// field depends only on the particle state, so the
+						// oracle re-projects the same state to match.
+						ref.project(1)
+						sameState(t, "StepInstrumented", step, ref, inst)
 					}
 				})
 			}
@@ -87,25 +99,76 @@ func TestTiledStepMatchesScalar(t *testing.T) {
 
 // TestTiledCreateGhostParticlesMatchesScalar checks the batched ghost
 // kernel: per-rank ghost counts from the tile-grouped SphereOwners query
-// must equal the scalar per-particle loop's for every filter radius,
-// including radius zero (no ghosts).
+// must equal the per-particle oracle's for every filter radius, including
+// radius zero (no ghosts).
 func TestTiledCreateGhostParticlesMatchesScalar(t *testing.T) {
 	for _, radius := range []float64{0, 0.01, 0.08, 0.4} {
-		s := tiledFixture(t, 0, PushEuler, false, false)
+		s := tiledFixture(t, 0, PushEuler, false)
 		d, err := mesh.Decompose(s.Mesh, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.Params.FilterRadius = radius
 		gotRanks, gotTotal := s.CreateGhostParticles(d)
-		s.scalarPhases = true
-		wantRanks, wantTotal := s.CreateGhostParticles(d)
+		wantRanks, wantTotal := oracleGhosts(s, d)
 		if gotTotal != wantTotal {
-			t.Fatalf("radius %g: tiled total %d, scalar %d", radius, gotTotal, wantTotal)
+			t.Fatalf("radius %g: tiled total %d, oracle %d", radius, gotTotal, wantTotal)
 		}
 		for r := range wantRanks {
 			if gotRanks[r] != wantRanks[r] {
-				t.Fatalf("radius %g rank %d: tiled %d, scalar %d", radius, r, gotRanks[r], wantRanks[r])
+				t.Fatalf("radius %g rank %d: tiled %d, oracle %d", radius, r, gotRanks[r], wantRanks[r])
+			}
+		}
+	}
+}
+
+// TestCreateGhostParticlesNonFinite: a particle with a NaN or infinite
+// coordinate, placed first, in the middle or last of an element tile it
+// shares with finite particles, neither panics nor creates ghosts, and the
+// finite particles' counts equal the oracle's over them alone.
+func TestCreateGhostParticlesNonFinite(t *testing.T) {
+	m, err := mesh.New(geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 0.01)), 16, 16, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := mesh.Decompose(m, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three particles in each wall element a non-finite x clamps into
+	// (i = 0 and i = 15 on row j = 8), and two in between.
+	finite := []geom.Vec3{
+		geom.V(0.01, 0.52, 0.005), geom.V(0.03, 0.55, 0.005), geom.V(0.05, 0.53, 0.005),
+		geom.V(0.95, 0.52, 0.005), geom.V(0.97, 0.55, 0.005), geom.V(0.99, 0.53, 0.005),
+		geom.V(0.5, 0.5, 0.005), geom.V(0.45, 0.6, 0.005),
+	}
+	build := func(pos []geom.Vec3) *Solver {
+		ps := particle.New(len(pos))
+		for i, p := range pos {
+			ps.Add(int64(i), p, geom.Vec3{}, 1e-4, 1200)
+		}
+		p := baseParams()
+		p.FilterRadius = 0.08
+		s, err := NewSolver(m, fluid.Uniform{}, ps, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	wantRanks, wantTotal := oracleGhosts(build(finite), d)
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for at := 0; at <= len(finite); at++ {
+			pos := append(append(append([]geom.Vec3{}, finite[:at]...), geom.V(0.5, 0.52, 0.005)), finite[at:]...)
+			s := build(pos)
+			s.Particles.Pos[at].X = x
+			gotRanks, gotTotal := s.CreateGhostParticles(d)
+			if gotTotal != wantTotal {
+				t.Fatalf("x=%g at %d: total %d, oracle over the finite particles %d", x, at, gotTotal, wantTotal)
+			}
+			for r := range wantRanks {
+				if gotRanks[r] != wantRanks[r] {
+					t.Fatalf("x=%g at %d rank %d: %d, oracle %d", x, at, r, gotRanks[r], wantRanks[r])
+				}
 			}
 		}
 	}

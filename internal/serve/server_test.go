@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -493,5 +494,32 @@ func TestPredictRejectsRanksPastCap(t *testing.T) {
 	key := Fingerprint(testCRC, picpredict.ModelSynthetic, picpredict.TrainOptions{Fast: true, Seed: 3})
 	if n := st.count(key); n != 0 {
 		t.Errorf("rejected requests trained %d model sets, want 0", n)
+	}
+}
+
+// TestPredictNonFiniteTrace: a registered trace with a NaN coordinate
+// answers a non-2xx error on the element-mapped query whose workload build
+// used to panic on its memo goroutine (killing the process), and the
+// server goes on answering the next valid request.
+func TestPredictNonFiniteTrace(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2, Obs: obs.New()}, 0)
+	tr, err := picpredict.NewTraceFromFrames([2][3]float64{{0, 0, 0}, {1, 1, 0.01}}, 3, 1, []int{0},
+		[][3]float64{{0.5, 0.5, 0.005}, {math.NaN(), 0.5, 0.005}, {0.52, 0.51, 0.005}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddTrace("nan", tr.WithMesh(16, 16, 1, 4), "0xnantrace"); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	status, raw := postPredict(t, ts.URL, `{"scenario":"nan","ranks":[4],"mapping":"element","filter":0.05,"model":{"fast":true,"seed":3}}`)
+	if status < 300 || !strings.Contains(string(raw), "not finite") {
+		t.Errorf("NaN trace query: %d (%s), want a non-2xx error naming the non-finite particle", status, raw)
+	}
+	status, raw = postPredict(t, ts.URL, `{"scenario":"test","ranks":[8],"mapping":"bin","filter":0.004,"model":{"fast":true,"seed":3}}`)
+	if status != http.StatusOK {
+		t.Errorf("valid query after the NaN one: %d (%s), want 200", status, raw)
 	}
 }

@@ -2,6 +2,7 @@ package picpredict
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -619,6 +620,49 @@ func TestGenerateWorkloadOhHelp(t *testing.T) {
 	}
 	if wl.Imbalance() >= elem.Imbalance() {
 		t.Errorf("ohhelp imbalance %.1f not below element %.1f", wl.Imbalance(), elem.Imbalance())
+	}
+}
+
+// wallTrace is a two-frame, three-particle trace on the unit square whose
+// second frame puts particle 1 at x, between two neighbours it shares a
+// ghost-query tile with when x is NaN.
+func wallTrace(t *testing.T, x float64) *Trace {
+	t.Helper()
+	tr, err := NewTraceFromFrames([2][3]float64{{0, 0, 0}, {1, 1, 0.01}}, 3, 1, []int{0, 1}, [][3]float64{
+		{0.5, 0.5, 0.005}, {0.9, 0.5, 0.005}, {0.52, 0.51, 0.005},
+		{0.5, 0.5, 0.005}, {x, 0.5, 0.005}, {0.52, 0.51, 0.005},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestGenerateWorkloadRejectsNonFinite: a frame with a NaN or infinite
+// coordinate is an error naming the frame and the particle under every
+// mapping — not a panic in element mapping's batched ghost query, nor a
+// silent placement by bin or Hilbert mapping.
+func TestGenerateWorkloadRejectsNonFinite(t *testing.T) {
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tr := wallTrace(t, x).WithMesh(16, 16, 1, 4)
+		for _, kind := range MappingKinds() {
+			_, err := tr.GenerateWorkload(WorkloadOptions{Ranks: 4, Mapping: kind, FilterRadius: 0.05})
+			if err == nil || !strings.Contains(err.Error(), "frame 1: particle 1 ") {
+				t.Errorf("x=%g, %s mapping: err %v, want one naming frame 1 and particle 1", x, kind, err)
+			}
+		}
+	}
+}
+
+// TestGenerateWorkloadHighFace: on a 49×49×1 unit mesh, where lo + d·n
+// rounds below 1, a trace touching the x = 1 wall generates a workload
+// under every mapping.
+func TestGenerateWorkloadHighFace(t *testing.T) {
+	tr := wallTrace(t, 1).WithMesh(49, 49, 1, 4)
+	for _, kind := range MappingKinds() {
+		if _, err := tr.GenerateWorkload(WorkloadOptions{Ranks: 4, Mapping: kind, FilterRadius: 0.05}); err != nil {
+			t.Errorf("%s mapping: %v", kind, err)
+		}
 	}
 }
 
