@@ -180,6 +180,11 @@ func (b AABB) Outset(r float64) AABB {
 	}
 }
 
+// AxisDist2 returns the squared distance from x to the interval [lo, hi],
+// zero inside it: the per-cell entry of Grid.AxisDist2Table, for callers
+// that keep a grid's cell bounds (CellBox) in tables of their own.
+func AxisDist2(x, lo, hi float64) float64 { return axisDist2(x, lo, hi) }
+
 // axisDist2 is the squared distance from x to the interval [lo, hi].
 func axisDist2(x, lo, hi float64) float64 {
 	if x < lo {

@@ -188,3 +188,30 @@ func TestGridCellSizeAndCenter(t *testing.T) {
 		}
 	}
 }
+
+// TestAxisDist2MatchesCellBox: AxisDist2 over a cell's CellBox bounds gives
+// exactly the AxisDist2Table entry for that cell, so a caller that keeps
+// CellBox bounds in its own per-axis tables reproduces CellsInSphere's
+// membership arithmetic bit for bit.
+func TestAxisDist2MatchesCellBox(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		lo := V(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5)
+		g := mustGrid(t, Box(lo, lo.Add(V(0.1+rng.Float64(), 0.1+rng.Float64(), 0.1+rng.Float64()))),
+			1+rng.Intn(50), 1+rng.Intn(50), 1+rng.Intn(50))
+		n := [3]int{g.Nx, g.Ny, g.Nz}
+		for a := 0; a < 3; a++ {
+			x := g.Domain.Lo.Axis(a) + (rng.Float64()*1.2-0.1)*g.Domain.Extent().Axis(a)
+			table := g.AxisDist2Table(nil, a, x, 0, n[a]-1)
+			for c, want := range table {
+				var ijk [3]int
+				ijk[a] = c
+				box := g.CellBox(g.Index(ijk[0], ijk[1], ijk[2]))
+				if got := AxisDist2(x, box.Lo.Axis(a), box.Hi.Axis(a)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("grid %d×%d×%d axis %d cell %d x=%v: AxisDist2 over CellBox %v, table %v",
+						g.Nx, g.Ny, g.Nz, a, c, x, got, want)
+				}
+			}
+		}
+	}
+}

@@ -27,15 +27,15 @@ type StepTimings struct {
 	Projection time.Duration
 }
 
-// StepInstrumented runs one solver iteration with the per-particle phases
-// executed as separate serial passes over the element tiles Step walks, so
-// each kernel Step runs can be timed individually; the element tiling is
-// built inside the interpolation timer. The resulting particle state is
-// identical to Step's: every pass evaluates exactly the same expressions
-// per particle, only loop structure differs. Projection runs with one
-// worker (timings of interleaved goroutines would not be attributable to
-// kernels), so with several Params.Workers the projected field equals
-// Step's up to floating-point addition order.
+// StepInstrumented runs one solver iteration with phases 1–3 executed as
+// three separate serial passes over the element tiles Step walks, so each
+// kernel Step runs can be timed individually; the element tiling is built
+// inside the interpolation timer. Each pass calls the same per-particle
+// helper Step calls (interpolate, accelerate, push), so the resulting
+// particle state is identical to Step's; only the loop structure differs.
+// Projection runs with one worker (timings of interleaved goroutines would
+// not be attributable to kernels), so with several Params.Workers the
+// projected field equals Step's up to floating-point addition order.
 func (s *Solver) StepInstrumented() StepTimings {
 	p := s.Params
 	var t StepTimings
@@ -57,17 +57,30 @@ func (s *Solver) StepInstrumented() StepTimings {
 	start = time.Now() //lint:allow determinism wall-clock kernel timing is this file's product (Model Generator training data)
 	s.buildTiling()
 	nt := s.tiling.NumTiles()
-	s.eachTile(0, nt, func(tl int, ids []int32) { s.interpolateTile(tl, ids, acc) })
+	s.eachTile(0, nt, func(tl int, ids []int32) {
+		box, f := s.Mesh.ElementBox(tl), s.interp.nodal(tl)
+		for _, id := range ids {
+			acc[id] = s.interpolate(box, f, int(id))
+		}
+	})
 	t.Interpolation = time.Since(start)
 
 	// Phase 2: equation solver.
 	start = time.Now() //lint:allow determinism wall-clock kernel timing is this file's product (Model Generator training data)
-	s.eachTile(0, nt, func(_ int, ids []int32) { s.solveTile(ids, acc, coll) })
+	s.eachTile(0, nt, func(_ int, ids []int32) {
+		for _, id := range ids {
+			acc[id] = s.accelerate(int(id), acc[id], coll)
+		}
+	})
 	t.EqSolver = time.Since(start)
 
 	// Phase 3: particle pusher.
 	start = time.Now() //lint:allow determinism wall-clock kernel timing is this file's product (Model Generator training data)
-	s.eachTile(0, nt, func(_ int, ids []int32) { s.pushTile(ids, acc) })
+	s.eachTile(0, nt, func(_ int, ids []int32) {
+		for _, id := range ids {
+			s.push(int(id), acc[id])
+		}
+	})
 	t.Pusher = time.Since(start)
 
 	// Phase 4: projection (particle → grid).

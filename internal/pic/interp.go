@@ -1,6 +1,7 @@
 package pic
 
 import (
+	"slices"
 	"sync"
 
 	"picpredict/internal/fluid"
@@ -22,9 +23,15 @@ type Interpolator struct {
 	mesh *mesh.Mesh
 	flow fluid.Flow
 
-	// nodal velocity cache, keyed by element id; cleared every step.
+	// nodal velocity cache, keyed by element id; cleared every step. The
+	// fields are carved from slab, which BeginStep empties and nodal grows
+	// under the write lock. Growth copies into a new array and never
+	// rewrites the old one, so a field handed out stays valid for the
+	// whole step; once the slab holds the most fields a step has needed,
+	// building them allocates nothing.
 	mu    sync.RWMutex
 	cache map[int][]geom.Vec3
+	slab  []geom.Vec3
 	// stats
 	nodesBuilt int
 }
@@ -38,6 +45,7 @@ func NewInterpolator(m *mesh.Mesh, flow fluid.Flow) *Interpolator {
 // advancing the flow. Not safe concurrently with Velocity.
 func (ip *Interpolator) BeginStep() {
 	clear(ip.cache)
+	ip.slab = ip.slab[:0]
 	ip.nodesBuilt = 0
 }
 
@@ -64,7 +72,9 @@ func (ip *Interpolator) nodal(e int) []geom.Vec3 {
 	n := ip.mesh.N
 	box := ip.mesh.ElementBox(e)
 	ext := box.Extent()
-	f = make([]geom.Vec3, n*n*n)
+	start, size := len(ip.slab), n*n*n
+	ip.slab = slices.Grow(ip.slab, size)[:start+size]
+	f = ip.slab[start : start+size : start+size]
 	denom := float64(n - 1)
 	if n == 1 {
 		denom = 1
@@ -93,20 +103,20 @@ func (ip *Interpolator) nodal(e int) []geom.Vec3 {
 func (ip *Interpolator) Velocity(p geom.Vec3) geom.Vec3 {
 	d := ip.mesh.Domain()
 	e := ip.mesh.Home(p)
-	return ip.velocityNodal(e, ip.nodal(e), p.Clamp(d.Lo, d.Hi))
+	return ip.velocityNodal(ip.mesh.ElementBox(e), ip.nodal(e), p.Clamp(d.Lo, d.Hi))
 }
 
-// velocityNodal interpolates the nodal field f of element e to the clamped
-// in-element point p. The tiled solver loop fetches f once per element tile
-// and calls this for every resident particle, skipping the cache lookup;
-// the arithmetic is exactly Velocity's, so results are bit-identical on
+// velocityNodal interpolates the nodal field f of the element with box box
+// to the clamped in-element point p. The tiled solver loop fetches f and
+// the box once per element tile and calls this for every resident
+// particle, skipping the cache lookup and the element-box arithmetic; the
+// interpolation is exactly Velocity's, so results are bit-identical on
 // either path.
-func (ip *Interpolator) velocityNodal(e int, f []geom.Vec3, p geom.Vec3) geom.Vec3 {
+func (ip *Interpolator) velocityNodal(box geom.AABB, f []geom.Vec3, p geom.Vec3) geom.Vec3 {
 	n := ip.mesh.N
 	if n == 1 {
 		return f[0]
 	}
-	box := ip.mesh.ElementBox(e)
 	ext := box.Extent()
 	// Local coordinates in node units [0, n-1].
 	tx := local(p.X, box.Lo.X, ext.X, n)

@@ -8,11 +8,13 @@ import (
 // This file keeps the per-particle solver loops the element-tiled Step
 // replaced, as the reference the tiled paths are checked against
 // (tiled_test.go): phases 1–3 in particle-index order with the cached
-// interpolator lookup, and the ghost kernel with one raw-position home
-// lookup and one SphereOwners.Ranks query per particle.
+// interpolator lookup, the projection with one Mesh.ElementsInSphere list
+// and one Grid.CellCenter call per member element, and the ghost kernel
+// with one raw-position home lookup and one SphereOwners.Ranks query per
+// particle.
 
 // oracleStep is Step with phases 1–3 run by phaseRange over the whole
-// population; projection runs with projWorkers workers.
+// population; projection runs oracleProject with projWorkers workers.
 func oracleStep(s *Solver, projWorkers int) {
 	p := s.Params
 	s.Flow.Advance(s.time + p.Dt)
@@ -23,7 +25,7 @@ func oracleStep(s *Solver, projWorkers int) {
 		coll = s.collide.Forces(s.Particles, p.CollisionStiffness)
 	}
 	s.phaseRange(0, len(acc), acc, coll)
-	s.project(projWorkers)
+	oracleProject(s, projWorkers)
 	s.time += p.Dt
 	s.step++
 }
@@ -42,13 +44,13 @@ func (s *Solver) phaseRange(lo, hi int, acc, coll []geom.Vec3) {
 	}
 	switch p.Pusher { // Phase 3: particle pusher
 	case PushRK2:
-		s.pushRK2(acc, lo, hi)
+		s.pushRK2Range(acc, lo, hi)
 	default:
-		s.pushEuler(acc, lo, hi)
+		s.pushEulerRange(acc, lo, hi)
 	}
 }
 
-func (s *Solver) pushEuler(acc []geom.Vec3, lo, hi int) {
+func (s *Solver) pushEulerRange(acc []geom.Vec3, lo, hi int) {
 	dt := s.Params.Dt
 	ps := s.Particles
 	for i := lo; i < hi; i++ {
@@ -58,7 +60,7 @@ func (s *Solver) pushEuler(acc []geom.Vec3, lo, hi int) {
 	}
 }
 
-func (s *Solver) pushRK2(acc []geom.Vec3, lo, hi int) {
+func (s *Solver) pushRK2Range(acc []geom.Vec3, lo, hi int) {
 	dt := s.Params.Dt
 	ps := s.Particles
 	for i := lo; i < hi; i++ {
@@ -70,6 +72,67 @@ func (s *Solver) pushRK2(acc []geom.Vec3, lo, hi int) {
 		ps.Vel[i] = ps.Vel[i].Add(aMid.Scale(dt))
 		ps.Pos[i] = ps.Pos[i].Add(vMid.Scale(dt))
 		s.bounce(i)
+	}
+}
+
+// oracleProject is Solver.project with oracleProjectRange as the per-range
+// body: the same worker partition of the particle index range, one partial
+// field per worker, reduced in worker order. The partials are filled one
+// after another; each depends only on its own range, so the result equals
+// the concurrent fill's bit for bit.
+func oracleProject(s *Solver, workers int) {
+	clear(s.proj)
+	n := s.Particles.Len()
+	if workers <= 1 || n < 2*workers {
+		oracleProjectRange(s, 0, n, s.proj)
+		return
+	}
+	for w := 0; w < workers; w++ {
+		part := make([]float64, len(s.proj))
+		oracleProjectRange(s, n*w/workers, n*(w+1)/workers, part)
+		for e, v := range part {
+			s.proj[e] += v
+		}
+	}
+}
+
+// oracleProjectRange deposits particles [lo, hi) into proj.
+func oracleProjectRange(s *Solver, lo, hi int, proj []float64) {
+	radius := s.Params.FilterRadius
+	ps := s.Particles
+	var buf []int
+	var w []float64
+	for i := lo; i < hi; i++ {
+		vol := ps.Mass(i) / ps.Density[i]
+		if radius <= 0 {
+			if e := s.Mesh.ElementAt(ps.Pos[i]); e >= 0 {
+				proj[e] += vol
+			}
+			continue
+		}
+		buf = s.Mesh.ElementsInSphere(buf[:0], ps.Pos[i], radius)
+		w = w[:0]
+		total := 0.0
+		for _, e := range buf {
+			r := s.Mesh.Elements.CellCenter(e).Dist(ps.Pos[i])
+			wt := 1 - r/radius
+			if wt < 0 {
+				wt = 0
+			}
+			w = append(w, wt)
+			total += wt
+		}
+		if total <= 0 {
+			// Ball intersects elements but all centres are beyond R:
+			// deposit everything in the home element.
+			if e := s.Mesh.ElementAt(ps.Pos[i]); e >= 0 {
+				proj[e] += vol
+			}
+			continue
+		}
+		for k, e := range buf {
+			proj[e] += vol * w[k] / total
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package pic
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"picpredict/internal/fluid"
@@ -431,5 +433,45 @@ func TestPusherKindString(t *testing.T) {
 	}
 	if s := PusherKind(7).String(); s != "PusherKind(7)" {
 		t.Errorf("unknown pusher string %q", s)
+	}
+}
+
+// TestCreateGhostParticlesAllocs: a repeated ghost query against the same
+// decomposition reuses the solver's owner query, home ranks and rank lists,
+// so it allocates only the returned per-rank counts, and those still equal
+// the oracle's.
+func TestCreateGhostParticlesAllocs(t *testing.T) {
+	s := tiledFixture(t, 0, PushEuler, false)
+	s.Params.FilterRadius = 0.08
+	d, err := mesh.Decompose(s.Mesh, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perRank []int
+	var total int
+	if allocs := testing.AllocsPerRun(10, func() { perRank, total = s.CreateGhostParticles(d) }); allocs > 1 {
+		t.Errorf("CreateGhostParticles allocates %v times per call, want at most 1 (perRank)", allocs)
+	}
+	wantRanks, wantTotal := oracleGhosts(s, d)
+	if total != wantTotal || !slices.Equal(perRank, wantRanks) {
+		t.Errorf("ghost counts %v (total %d), oracle %v (total %d)", perRank, total, wantRanks, wantTotal)
+	}
+}
+
+// TestStepSteadyStateAllocs: once the interpolator's nodal slab, the
+// tiling and the projection scratch have grown, a serial Step with
+// collisions off allocates less than 1 KB, for either pusher.
+func TestStepSteadyStateAllocs(t *testing.T) {
+	for _, pusher := range []PusherKind{PushEuler, PushRK2} {
+		s := tiledFixture(t, 0, pusher, false)
+		s.Run(5, nil)
+		const steps = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Run(steps, nil)
+		runtime.ReadMemStats(&after)
+		if perStep := (after.TotalAlloc - before.TotalAlloc) / steps; perStep >= 1024 {
+			t.Errorf("%v: steady-state Step allocates %d B, want under 1 KB", pusher, perStep)
+		}
 	}
 }

@@ -3,6 +3,8 @@ package pic
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"picpredict/internal/fluid"
@@ -88,7 +90,7 @@ func TestTiledStepMatchesScalar(t *testing.T) {
 						// StepInstrumented projects with one worker; the
 						// field depends only on the particle state, so the
 						// oracle re-projects the same state to match.
-						ref.project(1)
+						oracleProject(ref, 1)
 						sameState(t, "StepInstrumented", step, ref, inst)
 					}
 				})
@@ -171,5 +173,112 @@ func TestCreateGhostParticlesNonFinite(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// projectionProbes returns positions inside m's closed domain that sit on
+// the projection's decision boundaries for filter radius r: cell corners
+// (domain faces and corners included), face midpoints and centres, points
+// exactly r from a cell centre or a cell face along each axis, and random
+// interior points.
+func projectionProbes(rng *rand.Rand, m *mesh.Mesh, r float64) []geom.Vec3 {
+	g := m.Elements
+	dom := m.Domain()
+	var out []geom.Vec3
+	add := func(p geom.Vec3) {
+		if dom.ContainsClosed(p) {
+			out = append(out, p)
+		}
+	}
+	for range 12 {
+		e := rng.Intn(g.Len())
+		box, c := g.CellBox(e), g.CellCenter(e)
+		add(box.Lo)
+		add(box.Hi)
+		add(c)
+		for a := 0; a < 3; a++ {
+			add(c.WithAxis(a, box.Lo.Axis(a)))
+			add(c.WithAxis(a, box.Hi.Axis(a)))
+			add(c.WithAxis(a, c.Axis(a)+r))
+			add(c.WithAxis(a, c.Axis(a)-r))
+			add(c.WithAxis(a, box.Hi.Axis(a)+r))
+			add(c.WithAxis(a, box.Lo.Axis(a)-r))
+		}
+	}
+	add(dom.Lo)
+	add(dom.Hi)
+	ext := dom.Extent()
+	for range 40 {
+		add(dom.Lo.Add(geom.V(rng.Float64()*ext.X, rng.Float64()*ext.Y, rng.Float64()*ext.Z)))
+	}
+	return out
+}
+
+// sameBits reports whether a and b are the same float64, counting any two
+// NaNs as equal.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestProjectionMatchesOracle: the projection from per-axis element-centre
+// tables deposits exactly what the per-particle ElementsInSphere/CellCenter
+// oracle deposits, bit for bit, serially and over three workers. It covers
+// random grids, a flat z axis, the 49×49 unit mesh (whose high face rounds
+// below lo + d·n) and a dyadic grid where probe distances hit the filter
+// radius exactly; filter radii from 0 to 6 element widths; and particles on
+// faces, corners and centres, exactly R from a centre or a face, and with a
+// NaN coordinate.
+func TestProjectionMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	type gridSpec struct {
+		box        geom.AABB
+		nx, ny, nz int
+	}
+	grids := []gridSpec{
+		{geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 0.01)), 49, 49, 1},
+		{geom.Box(geom.V(0, 0, 0), geom.V(1, 1, 0)), 8, 8, 1},
+		{geom.Box(geom.V(-1, -1, -1), geom.V(1, 1, 1)), 4, 8, 4},
+	}
+	for len(grids) < 10 {
+		lo := geom.V(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5)
+		ext := geom.V(0.1+rng.Float64(), 0.1+rng.Float64(), 0.1+rng.Float64())
+		grids = append(grids, gridSpec{geom.Box(lo, lo.Add(ext)), 1 + rng.Intn(12), 1 + rng.Intn(12), 1 + rng.Intn(4)})
+	}
+	nanSeen := false
+	for gi, gs := range grids {
+		m, err := mesh.New(gs.box, gs.nx, gs.ny, gs.nz, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, widths := range []float64{0, 0.3, 1, 2.5, 6} {
+			radius := widths * m.Elements.CellSize().X
+			pos := projectionProbes(rng, m, radius)
+			ps := particle.New(len(pos))
+			for i, p := range pos {
+				ps.Add(int64(i), p, geom.Vec3{}, 1e-4*(1+rng.Float64()), 1000)
+			}
+			params := baseParams()
+			params.FilterRadius = radius
+			s, err := NewSolver(m, fluid.Uniform{}, ps, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Particles.Pos[len(pos)/2].Y = math.NaN()
+			for _, workers := range []int{1, 3} {
+				s.project(workers)
+				got := slices.Clone(s.proj)
+				oracleProject(s, workers)
+				for e, want := range s.proj {
+					if !sameBits(got[e], want) {
+						t.Fatalf("grid %d (%d×%d×%d), radius %g cells, %d workers: element %d got %v, oracle %v",
+							gi, gs.nx, gs.ny, gs.nz, widths, workers, e, got[e], want)
+					}
+					nanSeen = nanSeen || math.IsNaN(want)
+				}
+			}
+		}
+	}
+	if !nanSeen {
+		t.Error("no case deposited the NaN particle's weights; the NaN probe checked nothing")
 	}
 }

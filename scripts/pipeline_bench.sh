@@ -25,7 +25,10 @@
 #             symbolic search, kernels and restarts fitted concurrently),
 #             and the scoring of one 200-individual GP population over the
 #             projection kernel's 1,000 training samples as compiled column
-#             programs vs the tree-walking oracle.
+#             programs vs the tree-walking oracle;
+#   pic     : one serial PIC solver step of the experiment-scale Hele-Shaw
+#             scenario (20,000 particles, 128x128x1 elements) and its
+#             projection phase alone.
 #
 # The headline ratios are speedup.fill_bin / speedup.fill_element (tiled
 # fill over the flat oracle fill at paper scale),
@@ -36,7 +39,7 @@
 # scoring over the tree walk, both serial). BENCHTIME=1x gives a CI smoke
 # run; the committed JSON uses the default 3x (sweep runs at 1x regardless —
 # one naive iteration is ~50 s of pure rebuild work — and the calibrate
-# pair at 1s, since one population takes milliseconds).
+# pair and the pic pair at 1s, since one iteration takes milliseconds).
 #
 #   BENCHTIME=3x ./scripts/pipeline_bench.sh
 #
@@ -86,6 +89,10 @@ go test -run '^$' -bench 'TrainModels' -benchtime "$BENCHTIME" . \
 go test -run '^$' -bench 'Calibrate' -benchtime 1s ./internal/perfmodel/ \
     | tee -a "$workdir/train.txt" || fail "calibrate benchmarks failed"
 
+echo "== pic (Hele-Shaw solver step and projection alone, serial)"
+go test -run '^$' -bench 'SolverStepHeleShaw$|Project$' -benchtime 1s ./internal/pic/ \
+    | tee "$workdir/pic.txt" || fail "pic benchmarks failed"
+
 echo "== write $OUT"
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
@@ -125,15 +132,16 @@ sweep = parse("sweep.txt")
 rebal = parse("rebalance.txt")
 simulate = parse("simulate.txt")
 train = parse("train.txt")
+pic = parse("pic.txt")
 
-def ms(runs, name):
+def ms(runs, name, digits=1):
     try:
-        return round(runs["Benchmark" + name]["ms"], 1)
+        return round(runs["Benchmark" + name]["ms"], digits)
     except KeyError:
         sys.exit(f"benchmark {name} missing from output")
 
 doc = {
-    "bench": "pipeline hot paths: fill / stream / fused / simulate / sweep / rebalance / train",
+    "bench": "pipeline hot paths: fill / stream / fused / simulate / sweep / rebalance / train / pic",
     "config": {
         "np": 599257,
         "ranks": 8352,
@@ -155,6 +163,10 @@ doc = {
     },
     "stream_frames_per_s": round(stream["BenchmarkStreamConcurrent"]["frames_per_s"], 2),
     "fused_run_ms": ms(fused, "FusedPipeline"),
+    # One serial Hele-Shaw solver step (20,000 particles) and its
+    # projection phase alone, the fused run's critical path.
+    "pic_step_ms": ms(pic, "SolverStepHeleShaw", 3),
+    "project_ms": ms(pic, "Project", 3),
     # 24 configurations (4 rank counts x bin x 3 machines x 2 model kinds)
     # over the paper-scale trace: the shared-build engine does 4 workload
     # builds where the naive loop does 24.
@@ -241,6 +253,7 @@ print(f"   fill element: {f['element_scalar']:.0f} -> {f['element_tiled']:.0f} m
       f"({doc['speedup']['fill_element']}x)")
 print(f"   stream      : {doc['stream_frames_per_s']:.2f} frames/s")
 print(f"   fused run   : {doc['fused_run_ms']:.0f} ms")
+print(f"   pic step    : {doc['pic_step_ms']:.3f} ms, projection {doc['project_ms']:.3f} ms")
 for case, entry in sim_doc.items():
     print(f"   simulate {case:<20}: {entry['ms']:.3f} ms/replay, "
           f"{entry['allocs_per_op']} allocs, reuse {entry['reuse_share']:.1%}")
