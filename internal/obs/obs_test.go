@@ -78,8 +78,8 @@ func TestCounterConcurrent(t *testing.T) {
 }
 
 func TestStagesPartitionWallTime(t *testing.T) {
-	r := New()
 	start := time.Now()
+	r := New()
 	time.Sleep(5 * time.Millisecond)
 	r.StageDone("first")
 	time.Sleep(5 * time.Millisecond)
