@@ -438,49 +438,69 @@ func (g *Generator) buildTiling(pos []geom.Vec3) *tile.Tiling {
 	return g.tb.Build(pos, tileCellRadii*g.cfg.FilterRadius, len(pos)+1)
 }
 
-// pairTally accumulates one tile's (src, dst) → count pairs in parallel
-// slices before flushing them into the sparse matrix in one pass. A tile's
-// migrations and ghost copies hit very few distinct rank pairs, so the
-// linear-scan upsert replaces per-particle hash-map churn with a handful of
-// slice compares.
-type pairTally struct {
-	src, dst []int32
-	n        []int64
+// pairSlotBits sizes the fill's pair table at pairSlots slots.
+const (
+	pairSlotBits = 8
+	pairSlots    = 1 << pairSlotBits
+)
+
+// pairTable tallies one tile's (src, dst) → count pairs in a fixed
+// direct-mapped table before they reach the sparse accumulator, so a
+// repeated pair costs one slot increment instead of a hash-map update. A
+// pair whose slot holds another pair evicts that entry straight into the
+// accumulator, so the table never grows: its memory is fixed whatever the
+// tile spans. Every update is an integer add, so the sealed matrix is the
+// same for any slot count or eviction pattern.
+type pairTable struct {
+	key  [pairSlots]uint64 // packed (src, dst) of each occupied slot
+	n    [pairSlots]int64  // count per slot; 0 marks a free slot
+	used [pairSlots]int32  // occupied slot numbers, in first-use order
+	nUse int
 }
 
-// pairTallyFlushAt bounds the upsert scan: a pathological tile spanning
-// many rank pairs flushes early instead of degrading quadratically.
-const pairTallyFlushAt = 128
-
-func (t *pairTally) add(src, dst int) {
-	for i, s := range t.src {
-		if s == int32(src) && t.dst[i] == int32(dst) {
-			t.n[i]++
-			return
-		}
-	}
-	t.src = append(t.src, int32(src))
-	t.dst = append(t.dst, int32(dst))
-	t.n = append(t.n, 1)
-}
-
-func (t *pairTally) flush(m *sparse.Acc) error {
-	for i := range t.src {
-		if err := m.Add(int(t.src[i]), int(t.dst[i]), t.n[i]); err != nil {
+func (t *pairTable) add(src, dst int, m *sparse.Acc) error {
+	k := uint64(src)<<32 | uint64(uint32(dst))
+	s := int32((k * 0x9E3779B97F4A7C15) >> (64 - pairSlotBits)) // multiplicative hash
+	switch {
+	case t.n[s] == 0:
+		t.used[t.nUse] = s
+		t.nUse++
+	case t.key[s] != k:
+		if err := t.evict(s, m); err != nil {
 			return err
 		}
 	}
-	t.src, t.dst, t.n = t.src[:0], t.dst[:0], t.n[:0]
+	t.key[s] = k
+	t.n[s]++
+	return nil
+}
+
+// evict moves slot s's count into m and leaves the slot empty.
+func (t *pairTable) evict(s int32, m *sparse.Acc) error {
+	k := t.key[s]
+	err := m.Add(int(k>>32), int(uint32(k)), t.n[s])
+	t.n[s] = 0
+	return err
+}
+
+// flush moves every occupied slot into m.
+func (t *pairTable) flush(m *sparse.Acc) error {
+	for _, s := range t.used[:t.nUse] {
+		if err := t.evict(s, m); err != nil {
+			return err
+		}
+	}
+	t.nUse = 0
 	return nil
 }
 
 // tileScratch is the per-goroutine working set of the tiled fill: the
-// batched ghost-query output buffers and the sparse-pair tallies.
+// batched ghost-query output buffers and the pair tables.
 type tileScratch struct {
 	flat       []int
 	offs       []int32
-	commPairs  pairTally
-	ghostPairs pairTally
+	commPairs  pairTable
+	ghostPairs pairTable
 }
 
 // fillTileRange fills the matrices from tiles [t0, t1) of tl. Per tile it
@@ -502,19 +522,14 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 			comp[r]++
 			if withComm {
 				if p := g.prev[i]; p != r {
-					scr.commPairs.add(p, r)
-					if len(scr.commPairs.src) >= pairTallyFlushAt {
-						if err := scr.commPairs.flush(comm); err != nil {
-							return err
-						}
+					if err := scr.commPairs.add(p, r, comm); err != nil {
+						return err
 					}
 				}
 			}
 		}
-		if withComm {
-			if err := scr.commPairs.flush(comm); err != nil {
-				return err
-			}
+		if err := scr.commPairs.flush(comm); err != nil {
+			return err
 		}
 		scr.flat, scr.offs = src.GhostRanksTile(scr.flat[:0], scr.offs[:0], ids, pos, g.cur, radius)
 		prev := 0
@@ -523,14 +538,11 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 			home := g.cur[i]
 			for _, r := range scr.flat[prev:end] {
 				gcomp[r]++
-				scr.ghostPairs.add(home, r)
-			}
-			prev = end
-			if len(scr.ghostPairs.src) >= pairTallyFlushAt {
-				if err := scr.ghostPairs.flush(gcomm); err != nil {
+				if err := scr.ghostPairs.add(home, r, gcomm); err != nil {
 					return err
 				}
 			}
+			prev = end
 		}
 		if err := scr.ghostPairs.flush(gcomm); err != nil {
 			return err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -168,6 +169,40 @@ func TestFillLayoutsRandomised(t *testing.T) {
 			})
 		}
 	}
+
+	// A dense disc under bin mapping at paper ranks: about one particle
+	// per bin, and a filter ball reaching dozens of bins, so a tile's
+	// ghost pairs far outnumber the pair table's slots and the fill evicts
+	// into the accumulators.
+	const np, radius = 5000, 0.1
+	iters, pos := discFrames(3, np, 43)
+	mk := func() mapping.Mapper { return mapping.NewBinMapper(8352, 0) }
+	ref := oracleWorkload(t, mk(), radius, iters, pos, np)
+	for _, workers := range []int{0, 2} {
+		t.Run(fmt.Sprintf("dense-disc/bin/R=8352/w=%d", workers), func(t *testing.T) {
+			requireEqualWorkloads(t, ref, runFill(t, mk(), radius, workers, iters, pos, np))
+		})
+	}
+}
+
+// discFrames returns frames of np particles uniform in the unit disc,
+// each frame jittering every particle by up to 0.03 per axis.
+func discFrames(frames, np int, seed int64) ([]int, []geom.Vec3) {
+	rng := rand.New(rand.NewSource(seed))
+	base := make([]geom.Vec3, np)
+	for i := range base {
+		r, a := math.Sqrt(rng.Float64()), 2*math.Pi*rng.Float64()
+		base[i] = geom.V(r*math.Cos(a), r*math.Sin(a), 0)
+	}
+	iters := make([]int, frames)
+	pos := make([]geom.Vec3, 0, frames*np)
+	for f := range iters {
+		iters[f] = f * 100
+		for _, p := range base {
+			pos = append(pos, p.Add(geom.V(0.03*rng.Float64(), 0.03*rng.Float64(), 0)))
+		}
+	}
+	return iters, pos
 }
 
 // TestFillCountsTilesOnGhostFramesOnly pins the body choice the generator

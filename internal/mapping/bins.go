@@ -72,6 +72,7 @@ type BinMapper struct {
 
 	// scratch
 	perm  []int
+	keys  []float64 // cut-axis coordinates gathered per split, aligned with perm
 	index *binIndex // ghost-query accelerator, rebuilt per Assign
 
 	// ghost-query views: ownView backs the mapper's own GhostRanks,
@@ -124,6 +125,7 @@ func (bm *BinMapper) Assign(dst []int, pos []geom.Vec3) error {
 	}
 	if cap(bm.perm) < len(pos) {
 		bm.perm = make([]int, len(pos))
+		bm.keys = make([]float64, len(pos))
 	}
 	perm := bm.perm[:len(pos)]
 	for i := range perm {
@@ -192,24 +194,29 @@ func (bm *BinMapper) Assign(dst []int, pos []geom.Vec3) error {
 
 // split cuts bin b into two halves by a planar cut along the longest axis
 // of its (tight) box, reordering perm[lo:hi] so each half is contiguous.
-// Median cuts use a deterministic quickselect — O(n) per cut instead of a
-// full sort — which partitions by the composite key (coordinate, index), so
-// the resulting half-sets are identical to what a stable sort would give.
+// The bin's coordinates along the cut axis are first gathered into a column
+// aligned with perm[lo:hi], so the cut reads contiguous keys instead of
+// chasing perm into pos. Median cuts use a deterministic quickselect —
+// O(n) per cut instead of a full sort — which partitions by the composite
+// key (coordinate, index), so the resulting half-sets are identical to what
+// a stable sort would give.
 func (bm *BinMapper) split(b binRange, pos []geom.Vec3, perm []int) (binRange, binRange) {
 	axis := b.box.LongestAxis()
 	seg := perm[b.lo:b.hi]
+	col := bm.keys[b.lo:b.hi]
+	gatherAxis(col, seg, pos, axis)
 	var cut int
 	switch bm.Policy {
 	case SplitMidpoint:
 		mid := b.box.Center().Axis(axis)
-		cut = partitionByValue(seg, pos, axis, mid)
+		cut = partitionByValue(col, seg, mid)
 		if cut == 0 || cut == len(seg) {
 			cut = len(seg) / 2 // degenerate midpoint: fall back to median
-			selectK(seg, pos, axis, cut)
+			selectKeys(col, seg, cut)
 		}
 	default: // SplitMedian
 		cut = len(seg) / 2
-		selectK(seg, pos, axis, cut)
+		selectKeys(col, seg, cut)
 	}
 	mkRange := func(lo, hi int) binRange {
 		box := geom.EmptyBox()
@@ -221,42 +228,68 @@ func (bm *BinMapper) split(b binRange, pos []geom.Vec3, perm []int) (binRange, b
 	return mkRange(b.lo, b.lo+cut), mkRange(b.lo+cut, b.hi)
 }
 
-// keyLess orders particles by (coordinate along axis, particle index) — a
-// strict total order, so selection is unambiguous even with coincident
-// particles.
-func keyLess(pos []geom.Vec3, axis, a, b int) bool {
-	ca, cb := pos[a].Axis(axis), pos[b].Axis(axis)
-	//lint:allow floatcmp exact comparison is what makes this a strict total order; a tolerance would make selection ambiguous
-	if ca != cb {
-		return ca < cb
+// gatherAxis sets col[i] to the coordinate of particle seg[i] along axis.
+func gatherAxis(col []float64, seg []int, pos []geom.Vec3, axis int) {
+	switch axis {
+	case 0:
+		for i, pi := range seg {
+			col[i] = pos[pi].X
+		}
+	case 1:
+		for i, pi := range seg {
+			col[i] = pos[pi].Y
+		}
+	default:
+		for i, pi := range seg {
+			col[i] = pos[pi].Z
+		}
 	}
-	return a < b
 }
 
-// selectK rearranges seg so its k smallest elements (by keyLess) occupy
-// seg[:k]. Iterative quickselect with median-of-three pivots; deterministic
-// because the key order is total.
-func selectK(seg []int, pos []geom.Vec3, axis, k int) {
+// cutKey is a particle's selection key: its coordinate along the cut axis and
+// its index, which breaks ties between coincident particles.
+type cutKey struct {
+	x float64
+	i int
+}
+
+// less orders keys by (coordinate, particle index) — a strict total order,
+// so selection is unambiguous even with coincident particles.
+func (a cutKey) less(b cutKey) bool {
+	//lint:allow floatcmp exact comparison is what makes this a strict total order; a tolerance would make selection ambiguous
+	if a.x != b.x {
+		return a.x < b.x
+	}
+	return a.i < b.i
+}
+
+// selectKeys rearranges the aligned pair (col, seg) so the k smallest keys
+// (col[i], seg[i]) occupy the first k positions. Iterative quickselect with
+// median-of-three pivots; deterministic because the key order is total.
+func selectKeys(col []float64, seg []int, k int) {
+	at := func(i int) cutKey { return cutKey{col[i], seg[i]} }
+	swap := func(i, j int) {
+		col[i], col[j] = col[j], col[i]
+		seg[i], seg[j] = seg[j], seg[i]
+	}
 	lo, hi := 0, len(seg) // working window [lo, hi)
 	for hi-lo > 1 {
 		if k <= lo || k >= hi {
 			return
 		}
 		// Median-of-three pivot on the window.
-		mid := lo + (hi-lo)/2
-		a, b, c := seg[lo], seg[mid], seg[hi-1]
-		pivot := medianOf3(pos, axis, a, b, c)
+		pivot := median3(at(lo), at(lo+(hi-lo)/2), at(hi-1))
 		// Three-way partition around the pivot key.
 		lt, i, gt := lo, lo, hi
 		for i < gt {
-			switch {
-			case keyLess(pos, axis, seg[i], pivot):
-				seg[lt], seg[i] = seg[i], seg[lt]
+			switch c := at(i); {
+			case c.less(pivot):
+				swap(lt, i)
 				lt++
 				i++
-			case keyLess(pos, axis, pivot, seg[i]):
+			case pivot.less(c):
 				gt--
-				seg[i], seg[gt] = seg[gt], seg[i]
+				swap(i, gt)
 			default: // equal (total order: only the pivot element itself)
 				i++
 			}
@@ -272,25 +305,26 @@ func selectK(seg []int, pos []geom.Vec3, axis, k int) {
 	}
 }
 
-func medianOf3(pos []geom.Vec3, axis, a, b, c int) int {
-	if keyLess(pos, axis, b, a) {
+func median3(a, b, c cutKey) cutKey {
+	if b.less(a) {
 		a, b = b, a
 	}
-	if keyLess(pos, axis, c, b) {
+	if c.less(b) {
 		b = c
-		if keyLess(pos, axis, b, a) {
+		if b.less(a) {
 			b = a
 		}
 	}
 	return b
 }
 
-// partitionByValue moves elements with coordinate < v to the front of seg
-// and returns their count.
-func partitionByValue(seg []int, pos []geom.Vec3, axis int, v float64) int {
+// partitionByValue moves the entries of the aligned pair (col, seg) whose
+// coordinate is < v to the front and returns their count.
+func partitionByValue(col []float64, seg []int, v float64) int {
 	cut := 0
-	for i := range seg {
-		if pos[seg[i]].Axis(axis) < v {
+	for i, x := range col {
+		if x < v {
+			col[cut], col[i] = col[i], col[cut]
 			seg[cut], seg[i] = seg[i], seg[cut]
 			cut++
 		}

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -283,6 +284,9 @@ func TestBinMapperPeakDropsWithMoreRanks(t *testing.T) {
 	}
 }
 
+// TestSelectKMatchesSort checks the gathered-key selector: the k smallest
+// (coordinate, index) keys land in front, as a sort by keyLess would put
+// them, and the column stays aligned with the particle indices.
 func TestSelectKMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
@@ -300,7 +304,9 @@ func TestSelectKMatchesSort(t *testing.T) {
 			seg[i] = i
 		}
 		rng.Shuffle(n, func(i, j int) { seg[i], seg[j] = seg[j], seg[i] })
-		selectK(seg, pos, axis, k)
+		col := make([]float64, n)
+		gatherAxis(col, seg, pos, axis)
+		selectKeys(col, seg, k)
 
 		sorted := make([]int, n)
 		for i := range sorted {
@@ -314,7 +320,12 @@ func TestSelectKMatchesSort(t *testing.T) {
 		}
 		for _, idx := range seg[:k] {
 			if !want[idx] {
-				t.Fatalf("trial %d: selectK front set differs from sort (n=%d k=%d axis=%d)", trial, n, k, axis)
+				t.Fatalf("trial %d: selectKeys front set differs from sort (n=%d k=%d axis=%d)", trial, n, k, axis)
+			}
+		}
+		for i, idx := range seg {
+			if col[i] != pos[idx].Axis(axis) {
+				t.Fatalf("trial %d: column entry %d is %v, particle %d has %v", trial, i, col[i], idx, pos[idx].Axis(axis))
 			}
 		}
 	}
@@ -323,7 +334,9 @@ func TestSelectKMatchesSort(t *testing.T) {
 func TestPartitionByValue(t *testing.T) {
 	pos := []geom.Vec3{{X: 3}, {X: 1}, {X: 4}, {X: 1}, {X: 5}}
 	seg := []int{0, 1, 2, 3, 4}
-	cut := partitionByValue(seg, pos, 0, 3)
+	col := make([]float64, len(seg))
+	gatherAxis(col, seg, pos, 0)
+	cut := partitionByValue(col, seg, 3)
 	if cut != 2 {
 		t.Fatalf("cut = %d, want 2", cut)
 	}
@@ -337,6 +350,85 @@ func TestPartitionByValue(t *testing.T) {
 			t.Errorf("back element %d has X=%v", i, pos[i].X)
 		}
 	}
+	for j, i := range seg {
+		if col[j] != pos[i].X {
+			t.Errorf("column entry %d is %v, particle %d has X=%v", j, col[j], i, pos[i].X)
+		}
+	}
+}
+
+// TestBinAssignMatchesOracle checks Assign against the index-chasing
+// oracle: same ranks and bit-identical bins, for median and midpoint cuts,
+// Relaxed, duplicated coordinates and more bins than ranks. Particles on
+// two adjacent floats put the midpoint on the low one, so the midpoint
+// cut degenerates and falls back to the median. The mapper is reused
+// across frames, as the generator reuses it.
+func TestBinAssignMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, ranks := range []int{7, 64, 1024, 1044, 8352} {
+		for _, policy := range []SplitPolicy{SplitMedian, SplitMidpoint} {
+			for _, relaxed := range []bool{false, true} {
+				for _, threshold := range []float64{0, 0.03} {
+					bm := NewBinMapper(ranks, threshold)
+					bm.Policy, bm.Relaxed = policy, relaxed
+					for frame := 0; frame < 4; frame++ {
+						n := 1 + rng.Intn(2000)
+						pos := randomCloud(n, rng.Int63(), geom.Box(geom.V(-0.5, 0, 0), geom.V(0.5, 0.7, 0.02)))
+						for i := range pos {
+							switch frame {
+							case 1: // coarse quantisation: many coincident particles
+								pos[i] = geom.V(float64(rng.Intn(6))/8, float64(rng.Intn(3))/8, 0)
+							case 2: // a dense clump plus one far outlier
+								pos[i] = pos[i].Scale(1e-3)
+							case 3: // two adjacent floats: a degenerate midpoint
+								pos[i] = geom.V(1, 0, 0)
+								if rng.Intn(2) == 0 {
+									pos[i].X = math.Nextafter(1, 2)
+								}
+							}
+						}
+						if frame == 2 {
+							pos[0] = geom.V(40, 0, 0)
+						}
+						dst := make([]int, n)
+						if err := bm.Assign(dst, pos); err != nil {
+							t.Fatal(err)
+						}
+						want, wantBins := oracleAssign(bm, pos)
+						name := fmt.Sprintf("R=%d %v relaxed=%v threshold=%g frame %d (n=%d)", ranks, policy, relaxed, threshold, frame, n)
+						for i := range want {
+							if dst[i] != want[i] {
+								t.Fatalf("%s: particle %d on rank %d, oracle %d", name, i, dst[i], want[i])
+							}
+						}
+						if !sameBins(bm.Bins(), wantBins) {
+							t.Fatalf("%s: bins differ from the oracle's", name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBins reports whether two bin lists are equal, comparing box
+// coordinates bit for bit.
+func sameBins(a, b []Bin) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Count != b[i].Count || a[i].Rank != b[i].Rank {
+			return false
+		}
+		for axis := 0; axis < 3; axis++ {
+			if math.Float64bits(a[i].Box.Lo.Axis(axis)) != math.Float64bits(b[i].Box.Lo.Axis(axis)) ||
+				math.Float64bits(a[i].Box.Hi.Axis(axis)) != math.Float64bits(b[i].Box.Hi.Axis(axis)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestBinMapperMetadata(t *testing.T) {

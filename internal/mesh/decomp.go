@@ -1,8 +1,10 @@
 package mesh
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"picpredict/internal/geom"
 )
@@ -27,54 +29,7 @@ func Decompose(m *Mesh, ranks int) (*Decomposition, error) {
 	if ranks <= 0 {
 		return nil, fmt.Errorf("mesh: rank count must be positive, got %d", ranks)
 	}
-	n := m.NumElements()
-	d := &Decomposition{
-		Ranks:      ranks,
-		Owner:      make([]int, n),
-		ElementsOf: make([][]int, ranks),
-	}
-	elems := make([]int, n)
-	for i := range elems {
-		elems[i] = i
-	}
-	centers := make([]geom.Vec3, n)
-	for i := range centers {
-		centers[i] = m.Elements.CellCenter(i)
-	}
-	bisect(m, elems, centers, 0, ranks, d.Owner)
-	d.finish()
-	return d, nil
-}
-
-// bisect assigns ranks [rank0, rank0+nranks) to the given element subset.
-func bisect(m *Mesh, elems []int, centers []geom.Vec3, rank0, nranks int, owner []int) {
-	if nranks == 1 || len(elems) == 0 {
-		for _, e := range elems {
-			owner[e] = rank0
-		}
-		return
-	}
-	// Bounding box of the subset's element centers picks the cut axis.
-	box := geom.EmptyBox()
-	for _, e := range elems {
-		box = box.Extend(centers[e])
-	}
-	axis := box.LongestAxis()
-	sort.Slice(elems, func(a, b int) bool {
-		ca, cb := centers[elems[a]].Axis(axis), centers[elems[b]].Axis(axis)
-		//lint:allow floatcmp exact comparison keeps the sort a strict total order; the index tie-break below handles equal centers
-		if ca != cb {
-			return ca < cb
-		}
-		return elems[a] < elems[b] // deterministic tie-break
-	})
-	loRanks := nranks / 2
-	hiRanks := nranks - loRanks
-	// Split elements proportionally to the rank counts so uneven rank
-	// splits (odd R) still balance element counts per rank.
-	cut := len(elems) * loRanks / nranks
-	bisect(m, elems[:cut], centers, rank0, loRanks, owner)
-	bisect(m, elems[cut:], centers, rank0+loRanks, hiRanks, owner)
+	return bisection(m, ranks, nil)
 }
 
 // DecomposeWeighted distributes the mesh elements across ranks with the
@@ -97,79 +52,158 @@ func DecomposeWeighted(m *Mesh, ranks int, weights []float64) (*Decomposition, e
 			return nil, fmt.Errorf("mesh: element %d has negative weight %g", e, w)
 		}
 	}
+	return bisection(m, ranks, weights)
+}
+
+// bisector is one recursive coordinate bisection. Every subset it visits is
+// the window [lo, hi) of each of the three axis orders, so a level costs a
+// pass over its windows instead of a sort per subset.
+type bisector struct {
+	// centre[a][e] is element e's centre coordinate along axis a.
+	centre [3][]float64
+	// ord[a] lists the element ids sorted by (centre[a], id), the total
+	// order a per-subset sort along axis a would produce; each subset keeps
+	// its window of every order in that order.
+	ord [3][]int32
+	// lo marks the elements of the current cut's lo side.
+	lo []bool
+	// tmp holds a window's hi side during a stable partition.
+	tmp []int32
+	// weights are the element loads of DecomposeWeighted; nil cuts on
+	// element counts.
+	weights []float64
+	owner   []int
+}
+
+// bisection runs the recursive coordinate bisection shared by Decompose
+// (nil weights) and DecomposeWeighted.
+func bisection(m *Mesh, ranks int, weights []float64) (*Decomposition, error) {
+	n := m.NumElements()
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("mesh: %d elements exceed the bisection's 32-bit element ids", n)
+	}
 	d := &Decomposition{
 		Ranks:      ranks,
 		Owner:      make([]int, n),
 		ElementsOf: make([][]int, ranks),
 	}
-	elems := make([]int, n)
-	for i := range elems {
-		elems[i] = i
+	b := bisector{lo: make([]bool, n), tmp: make([]int32, n), weights: weights, owner: d.Owner}
+	centres := make([]float64, 3*n)
+	ords := make([]int32, 3*n)
+	for a := range 3 {
+		b.centre[a] = centres[a*n : (a+1)*n]
+		b.ord[a] = ords[a*n : (a+1)*n]
 	}
-	centers := make([]geom.Vec3, n)
-	for i := range centers {
-		centers[i] = m.Elements.CellCenter(i)
+	for e := range n {
+		c := m.Elements.CellCenter(e)
+		b.centre[0][e], b.centre[1][e], b.centre[2][e] = c.X, c.Y, c.Z
 	}
-	bisectWeighted(m, elems, centers, weights, 0, ranks, d.Owner)
+	for a := range 3 {
+		col, ord := b.centre[a], b.ord[a]
+		for e := range ord {
+			ord[e] = int32(e)
+		}
+		slices.SortFunc(ord, func(x, y int32) int {
+			switch cx, cy := col[x], col[y]; {
+			case cx < cy:
+				return -1
+			case cx > cy:
+				return 1
+			}
+			return cmp.Compare(x, y) // deterministic tie-break
+		})
+	}
+	b.split(0, n, 0, ranks)
 	d.finish()
 	return d, nil
 }
 
-// bisectWeighted assigns ranks [rank0, rank0+nranks) to the element subset,
-// cutting where the prefix weight crosses the lo-side's proportional share.
-// The sort discipline is identical to bisect, so equal-weight inputs produce
-// bit-identical owners to the unweighted path.
-func bisectWeighted(m *Mesh, elems []int, centers []geom.Vec3, weights []float64, rank0, nranks int, owner []int) {
-	if nranks == 1 || len(elems) == 0 {
-		for _, e := range elems {
-			owner[e] = rank0
+// split assigns ranks [rank0, rank0+nranks) to the subset at window
+// [lo, hi) of the axis orders.
+func (b *bisector) split(lo, hi, rank0, nranks int) {
+	if nranks == 1 || lo == hi {
+		for _, e := range b.ord[0][lo:hi] {
+			b.owner[e] = rank0
 		}
 		return
 	}
-	box := geom.EmptyBox()
-	for _, e := range elems {
-		box = box.Extend(centers[e])
+	// Bounding box of the subset's element centers picks the cut axis; each
+	// axis's extremes are the ends of its window.
+	first := func(a int) float64 { return b.centre[a][b.ord[a][lo]] }
+	last := func(a int) float64 { return b.centre[a][b.ord[a][hi-1]] }
+	box := geom.AABB{
+		Lo: geom.Vec3{X: first(0), Y: first(1), Z: first(2)},
+		Hi: geom.Vec3{X: last(0), Y: last(1), Z: last(2)},
 	}
 	axis := box.LongestAxis()
-	sort.Slice(elems, func(a, b int) bool {
-		ca, cb := centers[elems[a]].Axis(axis), centers[elems[b]].Axis(axis)
-		//lint:allow floatcmp exact comparison keeps the sort a strict total order; the index tie-break below handles equal centers
-		if ca != cb {
-			return ca < cb
-		}
-		return elems[a] < elems[b] // deterministic tie-break
-	})
+	win := b.ord[axis][lo:hi]
 	loRanks := nranks / 2
-	hiRanks := nranks - loRanks
-	total := 0.0
-	for _, e := range elems {
-		total += weights[e]
+	cut := b.cut(win, loRanks, nranks)
+	for i, e := range win {
+		b.lo[e] = i < cut
 	}
-	var cut int
+	for a := range b.ord {
+		if a != axis {
+			b.partition(b.ord[a][lo:hi])
+		}
+	}
+	b.split(lo, lo+cut, rank0, loRanks)
+	b.split(lo+cut, hi, rank0+loRanks, nranks-loRanks)
+}
+
+// cut returns how many leading elements of win, the subset sorted along
+// the cut axis, go to the loRanks side.
+func (b *bisector) cut(win []int32, loRanks, nranks int) int {
+	// Split elements proportionally to the rank counts so uneven rank
+	// splits (odd R) still balance element counts per rank.
+	countCut := len(win) * loRanks / nranks
+	if b.weights == nil {
+		return countCut
+	}
+	total := 0.0
+	for _, e := range win {
+		total += b.weights[e]
+	}
 	if total <= 0 {
 		// Weightless subset: fall back to the count-proportional cut.
-		cut = len(elems) * loRanks / nranks
-	} else {
-		// Largest prefix whose weight stays within the lo-side share — the
-		// ≤ (not <) keeps equal weights on the count cut's floor semantics,
-		// so the equal-weight case is bit-identical to bisect. The prefix is
-		// accumulated in sorted order, so the cut is deterministic.
-		target := total * float64(loRanks) / float64(nranks)
-		prefix := 0.0
-		for cut < len(elems) && prefix+weights[elems[cut]] <= target {
-			prefix += weights[elems[cut]]
-			cut++
-		}
-		// A single over-target element at the cut must not starve the lo
-		// ranks of a subset big enough to feed them; hand it over rather
-		// than recursing on an empty side. (Unreachable with equal weights:
-		// a positive count cut implies the first element fits the target.)
-		if cut == 0 && len(elems)*loRanks/nranks > 0 {
-			cut = 1
+		return countCut
+	}
+	// Largest prefix whose weight stays within the lo-side share — the
+	// ≤ (not <) keeps equal weights on the count cut's floor semantics, so
+	// the equal-weight case is bit-identical to the count cut. The prefix
+	// is accumulated in sorted order, so the cut is deterministic.
+	target := total * float64(loRanks) / float64(nranks)
+	cut, prefix := 0, 0.0
+	for cut < len(win) && prefix+b.weights[win[cut]] <= target {
+		prefix += b.weights[win[cut]]
+		cut++
+	}
+	// A single over-target element at the cut must not starve the lo
+	// ranks of a subset big enough to feed them; hand it over rather than
+	// recursing on an empty side. (Unreachable with equal weights: a
+	// positive count cut implies the first element fits the target.)
+	if cut == 0 && countCut > 0 {
+		cut = 1
+	}
+	return cut
+}
+
+// partition moves the lo-side elements of win to its front, keeping the
+// relative order on both sides. A stable partition of a sorted window
+// leaves both halves sorted, so each child sees the order a sort of its
+// own subset would give.
+func (b *bisector) partition(win []int32) {
+	hi := b.tmp[:0]
+	n := 0
+	for _, e := range win {
+		if b.lo[e] {
+			win[n] = e
+			n++
+		} else {
+			hi = append(hi, e)
 		}
 	}
-	bisectWeighted(m, elems[:cut], centers, weights, rank0, loRanks, owner)
-	bisectWeighted(m, elems[cut:], centers, weights, rank0+loRanks, hiRanks, owner)
+	copy(win[n:], hi)
 }
 
 // FromOwner rebuilds a full Decomposition (with its per-rank element lists)
@@ -200,9 +234,22 @@ func FromOwner(m *Mesh, ranks int, owner []int) (*Decomposition, error) {
 	return d, nil
 }
 
-// finish derives ElementsOf from Owner. Elements are visited in ascending
-// order, so every rank's list comes out sorted.
+// finish derives ElementsOf from Owner. The lists are carved from one slab
+// sized by a per-rank count, each capped at its own length so an append by
+// a caller cannot overwrite the next rank's list. Elements are visited in
+// ascending order, so every rank's list comes out sorted.
 func (d *Decomposition) finish() {
+	start := make([]int, d.Ranks+1)
+	for _, r := range d.Owner {
+		start[r+1]++
+	}
+	for r := range d.Ranks {
+		start[r+1] += start[r]
+	}
+	slab := make([]int, len(d.Owner))
+	for r := range d.ElementsOf {
+		d.ElementsOf[r] = slab[start[r]:start[r]:start[r+1]]
+	}
 	for e, r := range d.Owner {
 		d.ElementsOf[r] = append(d.ElementsOf[r], e)
 	}

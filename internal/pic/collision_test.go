@@ -92,6 +92,50 @@ func TestColliderMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestColliderMatchesOracle checks the cell-list broad phase against the
+// map oracle, bit for bit, on random sets with negative coordinates and
+// coincident particles. One collider serves every set, so its buffers are
+// reused across growing and shrinking populations.
+func TestColliderMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	c := newCollider()
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(400)
+		s := particle.New(n)
+		side := 0.2 + rng.Float64()*2
+		for i := 0; i < n; i++ {
+			p := geom.V(side*(rng.Float64()-0.5), side*(rng.Float64()-0.5), side*(rng.Float64()-0.5)*0.1)
+			if i > 0 && rng.Intn(8) == 0 {
+				p = s.Pos[rng.Intn(i)] // coincident with an earlier particle
+			}
+			s.Add(int64(i), p, geom.Vec3{}, 0.01+0.1*rng.Float64(), 800+400*rng.Float64())
+		}
+		got := c.Forces(s, 30)
+		want := oracleForces(s, 30)
+		for i := range want {
+			for a := 0; a < 3; a++ {
+				if math.Float64bits(got[i].Axis(a)) != math.Float64bits(want[i].Axis(a)) {
+					t.Fatalf("trial %d (n=%d): particle %d: got %v, oracle %v", trial, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestColliderStepAllocs pins the allocations of a steady-state step with
+// collisions: the broad phase reuses its buffers, so Forces allocates
+// nothing and the whole step at most once.
+func TestColliderStepAllocs(t *testing.T) {
+	s := tiledFixture(t, 0, PushEuler, true)
+	s.Step()
+	if allocs := testing.AllocsPerRun(5, func() { s.collide.Forces(s.Particles, s.Params.CollisionStiffness) }); allocs != 0 {
+		t.Errorf("Forces made %v allocations per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, s.Step); allocs > 1 {
+		t.Errorf("a step with collisions made %v allocations, want at most 1", allocs)
+	}
+}
+
 func TestColliderNegativeCoordinates(t *testing.T) {
 	// floorDiv must bin negative coordinates correctly; two touching
 	// particles straddling the origin must interact.

@@ -3,6 +3,7 @@ package pic
 import (
 	"picpredict/internal/geom"
 	"picpredict/internal/mesh"
+	"picpredict/internal/particle"
 )
 
 // This file keeps the per-particle solver loops the element-tiled Step
@@ -154,4 +155,44 @@ func oracleGhosts(s *Solver, d *mesh.Decomposition) (perRank []int, total int) {
 		}
 	}
 	return perRank, total
+}
+
+// oracleForces is the collider with its map broad phase: per-cell id lists
+// in a map keyed by cell, rebuilt on every call. Forces must reproduce its
+// accelerations bit for bit.
+func oracleForces(s *particle.Set, stiffness float64) []geom.Vec3 {
+	n := s.Len()
+	acc := make([]geom.Vec3, n)
+	maxD := 0.0
+	for i := 0; i < n; i++ {
+		if s.Diameter[i] > maxD {
+			maxD = s.Diameter[i]
+		}
+	}
+	if maxD <= 0 {
+		return acc
+	}
+	c := &collider{cellSize: maxD}
+	cells := make(map[cellKey][]int)
+	for i := 0; i < n; i++ {
+		k := c.key(s.Pos[i])
+		cells[k] = append(cells[k], i)
+	}
+	for i := 0; i < n; i++ {
+		ki := c.key(s.Pos[i])
+		for dk := int32(-1); dk <= 1; dk++ {
+			for dj := int32(-1); dj <= 1; dj++ {
+				for di := int32(-1); di <= 1; di++ {
+					neigh := cellKey{ki.i + di, ki.j + dj, ki.k + dk}
+					for _, j := range cells[neigh] {
+						if j <= i {
+							continue
+						}
+						c.pair(s, i, j, stiffness, acc)
+					}
+				}
+			}
+		}
+	}
+	return acc
 }

@@ -28,7 +28,12 @@
 #             programs vs the tree-walking oracle;
 #   pic     : one serial PIC solver step of the experiment-scale Hele-Shaw
 #             scenario (20,000 particles, 128x128x1 elements) and its
-#             projection phase alone.
+#             projection phase alone;
+#   build   : the mapping algorithms a workload build reruns per frame or
+#             rebalance epoch — one recursive coordinate bisection of the
+#             128x128 and 465x465 meshes onto R = 8352 ranks, static and
+#             weighted, and one median-cut bin assignment of a
+#             50,000-particle frame onto 1024 ranks.
 #
 # The headline ratios are speedup.fill_bin / speedup.fill_element (tiled
 # fill over the flat oracle fill at paper scale),
@@ -93,6 +98,12 @@ echo "== pic (Hele-Shaw solver step and projection alone, serial)"
 go test -run '^$' -bench 'SolverStepHeleShaw$|Project$' -benchtime 1s ./internal/pic/ \
     | tee "$workdir/pic.txt" || fail "pic benchmarks failed"
 
+echo "== build (mesh bisection and bin assignment per build)"
+go test -run '^$' -bench 'Decompose' -benchmem -benchtime "$BENCHTIME" ./internal/mesh/ \
+    | tee "$workdir/build.txt" || fail "decompose benchmarks failed"
+go test -run '^$' -bench 'BinAssignMedian' -benchtime "$BENCHTIME" ./internal/mapping/ \
+    | tee -a "$workdir/build.txt" || fail "bin assignment benchmark failed"
+
 echo "== write $OUT"
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 if [ "$commit" != unknown ] && ! git diff --quiet HEAD 2>/dev/null; then
@@ -133,6 +144,7 @@ rebal = parse("rebalance.txt")
 simulate = parse("simulate.txt")
 train = parse("train.txt")
 pic = parse("pic.txt")
+build = parse("build.txt")
 
 def ms(runs, name, digits=1):
     try:
@@ -141,7 +153,7 @@ def ms(runs, name, digits=1):
         sys.exit(f"benchmark {name} missing from output")
 
 doc = {
-    "bench": "pipeline hot paths: fill / stream / fused / simulate / sweep / rebalance / train / pic",
+    "bench": "pipeline hot paths: fill / stream / fused / simulate / sweep / rebalance / train / pic / build",
     "config": {
         "np": 599257,
         "ranks": 8352,
@@ -234,6 +246,16 @@ doc["train"] = {
     "full_ms": ms(train, "TrainModels/full"),
     "calibrate_ms": calib,
 }
+# Per-build mapping work: one bisection per element decomposition (static
+# builds and every rebalance epoch) and one bin assignment per frame.
+decomp = {}
+for mesh_side in ("128x128", "465x465"):
+    for mode in ("static", "weighted"):
+        decomp[f"{mesh_side}_{mode}"] = ms(build, f"Decompose/{mesh_side}/R=8352/{mode}", 2)
+doc["build"] = {
+    "decompose_ms": decomp,
+    "bin_assign_ms": ms(build, "BinAssignMedian", 2),
+}
 f = doc["fill_ms_per_frame"]
 sw = doc["sweep_configs_per_s"]
 doc["speedup"] = {
@@ -259,6 +281,9 @@ for case, entry in sim_doc.items():
           f"{entry['allocs_per_op']} allocs, reuse {entry['reuse_share']:.1%}")
 print(f"   sweep       : {sw['naive']:.3f} -> {sw['shared_build']:.3f} configs/s "
       f"({doc['speedup']['sweep_shared_build']}x)")
+for case, v in decomp.items():
+    print(f"   decompose {case:<17}: {v:.2f} ms")
+print(f"   bin assign  : {doc['build']['bin_assign_ms']:.2f} ms/frame")
 print(f"   train       : fast {doc['train']['fast_ms']:.0f} ms, full {doc['train']['full_ms']:.0f} ms")
 print(f"   calibrate   : {calib['tree']:.2f} -> {calib['compiled']:.2f} ms/population "
       f"({doc['speedup']['calibrate']}x)")
