@@ -1,15 +1,20 @@
 # Development targets. `make verify` is the full pre-merge gate: build,
-# vet, the project lint suite, and the test suite under the race detector.
+# formatting, vet, the project lint suite, and the test suite under the race
+# detector.
 
 GO ?= go
 
-.PHONY: build test vet lint race verify bench bench-pipeline serve-smoke sweep-smoke
+.PHONY: build test fmt vet lint race verify bench bench-pipeline serve-smoke sweep-smoke
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# fmt fails when gofmt would reformat any Go file, and names the files.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -27,7 +32,7 @@ lint:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-verify: build vet lint race
+verify: build fmt vet lint race
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

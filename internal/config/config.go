@@ -19,7 +19,7 @@ type File struct {
 	// Ranks is the target system's processor count R.
 	Ranks int `json:"ranks"`
 	// Mapping is the particle mapping algorithm: element, bin, hilbert,
-	// or weighted.
+	// weighted, or ohhelp.
 	Mapping string `json:"mapping"`
 	// FilterRadius is the projection filter size (absolute length).
 	FilterRadius float64 `json:"filterRadius"`
@@ -27,8 +27,8 @@ type File struct {
 	RelaxedBins bool `json:"relaxedBins,omitempty"`
 	// MidpointSplit switches bin cuts to spatial midpoints.
 	MidpointSplit bool `json:"midpointSplit,omitempty"`
-	// Elements is the application's element grid (needed by element,
-	// hilbert, and weighted mapping).
+	// Elements is the application's element grid (needed by every mapping
+	// but bin).
 	Elements [3]int `json:"elements,omitempty"`
 	// GridN is the grid resolution per element.
 	GridN int `json:"gridN,omitempty"`
@@ -63,12 +63,11 @@ func (f File) Validate() error {
 	if f.Ranks <= 0 {
 		return fmt.Errorf("config: ranks must be positive, got %d", f.Ranks)
 	}
-	switch picpredict.MappingKind(f.Mapping) {
-	case picpredict.MappingElement, picpredict.MappingBin, picpredict.MappingHilbert, picpredict.MappingWeighted:
-	case "":
+	if f.Mapping == "" {
 		return fmt.Errorf("config: mapping is required")
-	default:
-		return fmt.Errorf("config: unknown mapping %q", f.Mapping)
+	}
+	if _, err := picpredict.ParseMappingKind(f.Mapping); err != nil {
+		return fmt.Errorf("config: %w", err)
 	}
 	if f.FilterRadius < 0 {
 		return fmt.Errorf("config: negative filterRadius %g", f.FilterRadius)
@@ -79,12 +78,10 @@ func (f File) Validate() error {
 	return nil
 }
 
+// needsMesh reports whether the mapping is anchored on the element grid:
+// every mapping but bin is.
 func needsMesh(mapping string) bool {
-	switch picpredict.MappingKind(mapping) {
-	case picpredict.MappingElement, picpredict.MappingHilbert, picpredict.MappingWeighted:
-		return true
-	}
-	return false
+	return picpredict.MappingKind(mapping) != picpredict.MappingBin
 }
 
 // WorkloadOptions converts the file to generator options.

@@ -83,3 +83,34 @@ func TestApplyMesh(t *testing.T) {
 		t.Errorf("workload with config mesh: %v", err)
 	}
 }
+
+// TestEveryMappingLoads: every mapping kind picpredict implements loads from
+// a configuration file, and ApplyMesh gives every kind but bin the
+// configured element grid, so each generates a workload from a mesh-less
+// trace.
+func TestEveryMappingLoads(t *testing.T) {
+	positions := make([][3]float64, 0, 2*16)
+	for f := 0; f < 2; f++ {
+		for i := 0; i < 16; i++ {
+			positions = append(positions, [3]float64{0.05 + 0.06*float64(i), 0.3 + 0.1*float64(f), 0.5})
+		}
+	}
+	for _, k := range picpredict.MappingKinds() {
+		f, err := Load(strings.NewReader(`{"ranks": 4, "mapping": "` + string(k) + `", "elements": [4,4,1], "gridN": 2}`))
+		if err != nil {
+			t.Errorf("%s: %v", k, err)
+			continue
+		}
+		tr, err := picpredict.NewTraceFromFrames([2][3]float64{{0, 0, 0}, {1, 1, 1}}, 16, 10, []int{0, 10}, positions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.ApplyMesh(tr)
+		if _, _, ok := tr.Mesh(); ok != (k != picpredict.MappingBin) {
+			t.Errorf("%s: mesh attached = %v", k, ok)
+		}
+		if _, err := tr.GenerateWorkload(f.WorkloadOptions()); err != nil {
+			t.Errorf("%s: %v", k, err)
+		}
+	}
+}

@@ -95,6 +95,7 @@ type Generator struct {
 	prev     []int // rank of each particle in the previous frame
 	cur      []int
 	frames   int
+	epochs   int // frames whose drained migrations were non-empty
 	finished bool
 
 	tb      tile.Builder
@@ -223,7 +224,11 @@ func (g *Generator) Frame(iteration int, pos []geom.Vec3) error {
 		// Assign; drain what moved into this interval's migration matrices.
 		g.migElem.Reset()
 		g.migPart.Reset()
-		for _, m := range g.mig.DrainMigrations() {
+		migs := g.mig.DrainMigrations()
+		if len(migs) > 0 {
+			g.epochs++
+		}
+		for _, m := range migs {
 			if err := g.migElem.Add(m.Src, m.Dst, m.Elements); err != nil {
 				return fmt.Errorf("core: frame %d: %w", g.frames, err)
 			}
@@ -558,9 +563,7 @@ func (g *Generator) Finish() (*Workload, error) {
 	}
 	g.finished = true
 	if g.obsOn {
-		if rs, ok := g.cfg.Mapper.(mapping.RebalanceStats); ok {
-			g.obsEpochs.Add(int64(rs.RebalanceEpochs()))
-		}
+		g.obsEpochs.Add(int64(g.epochs))
 	}
 	its := g.wl.RealComp.Iterations()
 	if len(its) >= 2 {

@@ -8,6 +8,7 @@ import (
 	"picpredict/internal/geom"
 	"picpredict/internal/mapping"
 	"picpredict/internal/mesh"
+	"picpredict/internal/obs"
 	"picpredict/internal/rebalance"
 )
 
@@ -40,7 +41,18 @@ func TestGeneratorMigrationMatrices(t *testing.T) {
 	_, dm := dynamicSetup(t, rebalance.Periodic{Every: 2})
 	const frames, np = 6, 120
 	its, pos := cornerTrace(frames, np)
-	wl, err := RunFrames(Config{Mapper: dm}, its, pos, np)
+	g, err := NewGenerator(Config{Mapper: dm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	g.SetObs(reg)
+	for k, it := range its {
+		if err := g.Frame(it, pos[k*np:(k+1)*np]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wl, err := g.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,8 +83,9 @@ func TestGeneratorMigrationMatrices(t *testing.T) {
 	if epochs == 0 {
 		t.Fatal("no epoch left migration entries")
 	}
-	if got := dm.RebalanceEpochs(); got != epochs {
-		t.Errorf("mapper counted %d epochs, matrices show %d", got, epochs)
+	// An epoch is exactly a frame whose drained migrations are non-empty.
+	if got := reg.Counter(obs.RebalanceEpochs).Value(); got != int64(epochs) {
+		t.Errorf("generator counted %d epochs, matrices show %d", got, epochs)
 	}
 	// Particles ride with their elements: the cluster lives on one rank, so
 	// the epoch moves a non-zero particle volume.

@@ -87,9 +87,6 @@ func NewBinMapper(ranks int, threshold float64) *BinMapper {
 	return &BinMapper{NumRanks: ranks, Threshold: threshold}
 }
 
-// Name implements Mapper.
-func (*BinMapper) Name() string { return "bin" }
-
 // Ranks implements Mapper.
 func (bm *BinMapper) Ranks() int { return bm.NumRanks }
 

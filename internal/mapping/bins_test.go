@@ -433,8 +433,8 @@ func sameBins(a, b []Bin) bool {
 
 func TestBinMapperMetadata(t *testing.T) {
 	bm := NewBinMapper(7, 0.5)
-	if bm.Name() != "bin" || bm.Ranks() != 7 {
-		t.Errorf("Name/Ranks = %q/%d", bm.Name(), bm.Ranks())
+	if bm.Ranks() != 7 {
+		t.Errorf("Ranks = %d, want 7", bm.Ranks())
 	}
 	if SplitMedian.String() != "median" || SplitMidpoint.String() != "midpoint" {
 		t.Errorf("policy strings: %q, %q", SplitMedian, SplitMidpoint)

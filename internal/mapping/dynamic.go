@@ -35,16 +35,16 @@ type MigrationSource interface {
 	DrainMigrations() []Migration
 }
 
-// RebalanceStats is implemented by mappers that count rebalance epochs —
-// assignment changes after the initial installation.
-type RebalanceStats interface {
-	RebalanceEpochs() int
-}
+// gridWeight is the load of one grid point relative to one particle (the α
+// in element load = α·N³ + particles).
+const gridWeight = 0.01
 
 // DynamicMapper is element-based mapping under a time-varying decomposition:
 // it installs the static recursive bisection on the first frame, then lets a
 // rebalance.Policy decide each frame whether to swap in a new element→rank
-// assignment. Epoch swaps rebuild the ghost-query machinery (the same
+// assignment. An assignment the policy returns at frame 0 replaces the
+// static one outright: there are no prior owners to move state away from.
+// Later swaps are epochs: they rebuild the ghost-query machinery (the same
 // SphereOwners views ElementMapper uses — they just no longer live forever)
 // and record the element/particle volume that changed owners, so downstream
 // consumers can price the migration.
@@ -54,9 +54,6 @@ type DynamicMapper struct {
 	// Policy decides when the assignment changes. Must be non-nil; a nil
 	// policy wants ElementMapper instead.
 	Policy rebalance.Policy
-	// GridWeight is the per-grid-point load relative to one particle, the
-	// same α as WeightedElementMapper (default 0.01 when zero).
-	GridWeight float64
 
 	owner  []int
 	decomp *mesh.Decomposition
@@ -64,7 +61,6 @@ type DynamicMapper struct {
 	views  []sphereGhostView  // cached GhostViews, invalidated at epochs
 
 	frame   int
-	epochs  int
 	pending []Migration
 
 	// scratch
@@ -72,17 +68,9 @@ type DynamicMapper struct {
 	counts []int64
 }
 
-// NewDynamicMapper builds a dynamic element mapper with default parameters.
+// NewDynamicMapper builds a dynamic element mapper driven by policy p.
 func NewDynamicMapper(m *mesh.Mesh, ranks int, p rebalance.Policy) *DynamicMapper {
-	return &DynamicMapper{Mesh: m, NumRanks: ranks, Policy: p, GridWeight: 0.01}
-}
-
-// Name implements Mapper: "element+<policy>", e.g. "element+periodic:10".
-func (dm *DynamicMapper) Name() string {
-	if dm.Policy == nil {
-		return "element+none"
-	}
-	return "element+" + dm.Policy.Name()
+	return &DynamicMapper{Mesh: m, NumRanks: ranks, Policy: p}
 }
 
 // Ranks implements Mapper.
@@ -118,7 +106,7 @@ func (dm *DynamicMapper) Assign(dst []int, pos []geom.Vec3) error {
 	if dm.owner == nil {
 		// Initial installation is the same static bisection every other
 		// element mapper starts from; it is not an epoch and migrates
-		// nothing — there are no prior owners to move state away from.
+		// nothing.
 		d, err := mesh.Decompose(dm.Mesh, dm.NumRanks)
 		if err != nil {
 			return fmt.Errorf("mapping: %w", err)
@@ -131,7 +119,7 @@ func (dm *DynamicMapper) Assign(dst []int, pos []geom.Vec3) error {
 		Ranks:    dm.NumRanks,
 		Owner:    dm.owner,
 		Counts:   dm.counts,
-		GridLoad: dm.gridLoad(),
+		GridLoad: gridWeight * float64(dm.Mesh.N*dm.Mesh.N*dm.Mesh.N),
 	})
 	if err != nil {
 		return fmt.Errorf("mapping: rebalance policy %s: %w", dm.Policy.Name(), err)
@@ -140,13 +128,14 @@ func (dm *DynamicMapper) Assign(dst []int, pos []geom.Vec3) error {
 		if len(newOwner) != nel {
 			return fmt.Errorf("mapping: policy %s returned %d owners for %d elements", dm.Policy.Name(), len(newOwner), nel)
 		}
-		if dm.recordMigrations(newOwner) {
+		// At frame 0 the policy's owners replace the static install: that
+		// installs, it does not migrate, and it is no epoch.
+		if dm.frame == 0 || dm.recordMigrations(newOwner) {
 			d, err := mesh.FromOwner(dm.Mesh, dm.NumRanks, newOwner)
 			if err != nil {
 				return fmt.Errorf("mapping: %w", err)
 			}
 			dm.install(d)
-			dm.epochs++
 		}
 	}
 
@@ -155,15 +144,6 @@ func (dm *DynamicMapper) Assign(dst []int, pos []geom.Vec3) error {
 	}
 	dm.frame++
 	return nil
-}
-
-// gridLoad returns the per-element fluid load in particle units.
-func (dm *DynamicMapper) gridLoad() float64 {
-	gw := dm.GridWeight
-	if gw <= 0 {
-		gw = 0.01
-	}
-	return gw * float64(dm.Mesh.N*dm.Mesh.N*dm.Mesh.N)
 }
 
 // install swaps in a new decomposition and invalidates the cached ghost
@@ -229,10 +209,6 @@ func (dm *DynamicMapper) DrainMigrations() []Migration {
 	return out
 }
 
-// RebalanceEpochs implements RebalanceStats: assignment changes after the
-// initial installation.
-func (dm *DynamicMapper) RebalanceEpochs() int { return dm.epochs }
-
 // GhostRanks implements GhostSource over the current decomposition.
 func (dm *DynamicMapper) GhostRanks(dst []int, pos geom.Vec3, radius float64, home int) []int {
 	return dm.ownersQuery().Ranks(dst, pos, radius, home)
@@ -269,5 +245,4 @@ var (
 	_ Mapper                = (*DynamicMapper)(nil)
 	_ ConcurrentGhostSource = (*DynamicMapper)(nil)
 	_ MigrationSource       = (*DynamicMapper)(nil)
-	_ RebalanceStats        = (*DynamicMapper)(nil)
 )

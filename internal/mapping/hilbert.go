@@ -6,6 +6,7 @@ import (
 
 	"picpredict/internal/geom"
 	"picpredict/internal/mesh"
+	"picpredict/internal/rebalance"
 )
 
 // HilbertMapper orders particles by the Hilbert index of the spectral
@@ -25,23 +26,8 @@ type HilbertMapper struct {
 
 // NewHilbertMapper constructs a Hilbert-order mapper onto ranks processors.
 func NewHilbertMapper(m *mesh.Mesh, ranks int) *HilbertMapper {
-	g := m.Elements
-	maxDim := g.Nx
-	if g.Ny > maxDim {
-		maxDim = g.Ny
-	}
-	if g.Nz > maxDim {
-		maxDim = g.Nz
-	}
-	order := 1
-	for (1 << order) < maxDim {
-		order++
-	}
-	return &HilbertMapper{Mesh: m, NumRanks: ranks, order: order}
+	return &HilbertMapper{Mesh: m, NumRanks: ranks, order: curveOrder(m)}
 }
-
-// Name implements Mapper.
-func (*HilbertMapper) Name() string { return "hilbert" }
 
 // Ranks implements Mapper.
 func (hm *HilbertMapper) Ranks() int { return hm.NumRanks }
@@ -80,6 +66,96 @@ func (hm *HilbertMapper) Assign(dst []int, pos []geom.Vec3) error {
 		dst[pi] = posIdx * hm.NumRanks / n
 	}
 	return nil
+}
+
+// NewWeightedMapper builds the load-balanced element partitioning of Zhai et
+// al. (paper ref [11], and the framework's "evaluate any new mapping
+// strategy" use case) as a DynamicMapper: elements keep their particles
+// (particle–grid locality preserved), but elements are distributed so every
+// processor carries a similar combined load of grid points and particles.
+// Elements are ordered along the Hilbert curve (preserving spatial
+// compactness) and the ordered sequence is cut into R contiguous chunks of
+// approximately equal weight GridLoad + Counts[e].
+//
+// Re-partitioning is lazy, as in the reference: the cut is made at frame 0
+// and reused until rebalance.Imbalance exceeds 1.5, or 1.1 × the imbalance
+// the last cut achieved when that is higher — element granularity may make
+// the nominal factor unreachable for heavily clustered beds, so the trigger
+// adapts to what partitioning can actually achieve (hysteresis).
+func NewWeightedMapper(m *mesh.Mesh, ranks int) *DynamicMapper {
+	return NewDynamicMapper(m, ranks, &weightedPolicy{})
+}
+
+// weightedPolicy is the rebalance.Policy behind NewWeightedMapper. It keeps
+// state across frames, so each mapper needs its own.
+type weightedPolicy struct {
+	order    []int   // mesh elements in Hilbert order, built at the first cut
+	achieved float64 // imbalance right after the last cut
+}
+
+// Name implements rebalance.Policy.
+func (*weightedPolicy) Name() string { return "weighted" }
+
+// Decide implements rebalance.Policy.
+func (p *weightedPolicy) Decide(m *mesh.Mesh, ld rebalance.Load) ([]int, error) {
+	if ld.Frame > 0 && rebalance.Imbalance(ld) <= max(1.5, 1.1*p.achieved) {
+		return nil, nil
+	}
+	if p.order == nil {
+		p.order = hilbertElementOrder(m)
+	}
+	total := 0.0
+	for _, c := range ld.Counts {
+		total += ld.GridLoad + float64(c)
+	}
+	target := total / float64(ld.Ranks)
+	owner := make([]int, len(ld.Counts))
+	rank, acc := 0, 0.0
+	for _, e := range p.order {
+		// Advance to the next rank when the current one is full; the last
+		// rank takes whatever remains.
+		if acc >= target && rank < ld.Ranks-1 {
+			rank++
+			acc -= target
+		}
+		owner[e] = rank
+		acc += ld.GridLoad + float64(ld.Counts[e])
+	}
+	ld.Owner = owner
+	p.achieved = rebalance.Imbalance(ld)
+	return owner, nil
+}
+
+// curveOrder returns the order of the smallest Hilbert curve whose cube
+// covers the mesh's element grid.
+func curveOrder(m *mesh.Mesh) int {
+	g := m.Elements
+	maxDim := max(g.Nx, g.Ny, g.Nz)
+	order := 1
+	for (1 << order) < maxDim {
+		order++
+	}
+	return order
+}
+
+// hilbertElementOrder returns the mesh elements sorted by 3-D Hilbert index.
+func hilbertElementOrder(m *mesh.Mesh) []int {
+	order := curveOrder(m)
+	n := m.NumElements()
+	keys := make([]uint64, n)
+	idx := make([]int, n)
+	for e := 0; e < n; e++ {
+		x, y, z := m.Elements.Coords(e)
+		keys[e] = hilbertIndex3D(order, uint32(x), uint32(y), uint32(z))
+		idx[e] = e
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if keys[idx[a]] != keys[idx[b]] {
+			return keys[idx[a]] < keys[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	return idx
 }
 
 // hilbertIndex3D returns the Hilbert curve index of cell (x, y, z) on a
@@ -124,4 +200,7 @@ func hilbertIndex3D(order int, x, y, z uint32) uint64 {
 	return h
 }
 
-var _ Mapper = (*HilbertMapper)(nil)
+var (
+	_ Mapper           = (*HilbertMapper)(nil)
+	_ rebalance.Policy = (*weightedPolicy)(nil)
+)

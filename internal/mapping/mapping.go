@@ -3,7 +3,7 @@
 // Dynamic Workload Generator mimics these algorithms on a particle trace to
 // synthesise per-processor workload without running the application.
 //
-// Three mappers are provided:
+// Five mappers are provided:
 //
 //   - ElementMapper (§III-B): a particle lives on the processor that owns
 //     the spectral element containing it — the de-facto standard, perfect
@@ -14,6 +14,14 @@
 //   - HilbertMapper (related work [10], an extension): particles ordered by
 //     the Hilbert index of their element and split into equal contiguous
 //     chunks — balances counts while approximately preserving locality.
+//   - HelperMapper (related work [16]): element ownership, with the excess
+//     of overloaded processors exported to underloaded helpers (OhHelp).
+//   - DynamicMapper: element mapping under a time-varying element→rank
+//     assignment that a rebalance.Policy replaces at epochs, recording the
+//     state that migrates. NewWeightedMapper builds the load-balanced
+//     element mapping of related work [11] as one: the Hilbert element
+//     order cut into chunks of equal grid+particle load, re-cut when the
+//     imbalance outgrows what the last cut achieved.
 package mapping
 
 import (
@@ -28,8 +36,6 @@ import (
 // only particle positions, which is exactly the information a particle
 // trace carries.
 type Mapper interface {
-	// Name identifies the algorithm (used in configuration files).
-	Name() string
 	// Ranks returns the number of processors particles are mapped onto.
 	Ranks() int
 	// Assign writes the rank of each particle into dst (len(dst) must
@@ -54,9 +60,6 @@ type ElementMapper struct {
 func NewElementMapper(m *mesh.Mesh, d *mesh.Decomposition) *ElementMapper {
 	return &ElementMapper{Mesh: m, Decomp: d}
 }
-
-// Name implements Mapper.
-func (*ElementMapper) Name() string { return "element" }
 
 // Ranks implements Mapper.
 func (em *ElementMapper) Ranks() int { return em.Decomp.Ranks }

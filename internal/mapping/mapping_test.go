@@ -24,8 +24,8 @@ func quadMesh(t *testing.T) (*mesh.Mesh, *mesh.Decomposition) {
 func TestElementMapperBasics(t *testing.T) {
 	m, d := quadMesh(t)
 	em := NewElementMapper(m, d)
-	if em.Name() != "element" || em.Ranks() != 4 {
-		t.Fatalf("Name/Ranks = %q/%d", em.Name(), em.Ranks())
+	if em.Ranks() != 4 {
+		t.Fatalf("Ranks = %d, want 4", em.Ranks())
 	}
 	pos := []geom.Vec3{
 		{X: 0.5, Y: 0.5, Z: 0.5},
@@ -83,21 +83,21 @@ func TestElementMappersHighFace(t *testing.T) {
 		t.Fatal(err)
 	}
 	pos := []geom.Vec3{geom.V(1, 0.5, 0.005), geom.V(1.2, 0.5, 0.005), geom.V(0.25, 0.25, 0.005)}
-	for _, mp := range []Mapper{
+	for k, mp := range []Mapper{
 		NewElementMapper(m, d),
 		NewDynamicMapper(m, 4, rebalance.Threshold{Factor: 1.5}),
 		NewHilbertMapper(m, 4),
 		NewHelperMapper(m, d),
-		NewWeightedElementMapper(m, 4),
+		NewWeightedMapper(m, 4),
 	} {
 		dst := make([]int, len(pos))
 		if err := mp.Assign(dst, pos); err != nil {
-			t.Errorf("%s: %v", mp.Name(), err)
+			t.Errorf("mapper %d (%T): %v", k, mp, err)
 			continue
 		}
 		for i, r := range dst {
 			if r < 0 || r >= 4 {
-				t.Errorf("%s: particle %d on rank %d", mp.Name(), i, r)
+				t.Errorf("mapper %d (%T): particle %d on rank %d", k, mp, i, r)
 			}
 		}
 		if _, ok := mp.(*ElementMapper); ok {

@@ -43,9 +43,6 @@ func NewHelperMapper(m *mesh.Mesh, d *mesh.Decomposition) *HelperMapper {
 	return &HelperMapper{Mesh: m, Decomp: d, Slack: 0.1}
 }
 
-// Name implements Mapper.
-func (*HelperMapper) Name() string { return "ohhelp" }
-
 // Ranks implements Mapper.
 func (hm *HelperMapper) Ranks() int { return hm.Decomp.Ranks }
 

@@ -82,14 +82,16 @@ const (
 )
 
 // Canonical metric names of the dynamic load-balancing axis
-// (internal/rebalance policies driven through mapping.DynamicMapper /
-// WeightedElementMapper). The generator records the volume counters and the
-// epoch count at workload-build time; the BSP simulator records the priced
-// cost. Together a run manifest shows how often the mapping rebalanced, how
-// much state moved, and what the model says that movement cost.
+// (internal/rebalance policies and the weighted mapping, both driven
+// through mapping.DynamicMapper). The generator records the volume counters
+// and the epoch count at workload-build time; the BSP simulator records the
+// priced cost. Together a run manifest shows how often the mapping
+// rebalanced, how much state moved, and what the model says that movement
+// cost.
 const (
-	// RebalanceEpochs counts assignment swaps the mapper performed over the
-	// run (WeightedElementMapper.Rebalances, DynamicMapper epoch count).
+	// RebalanceEpochs counts the frames whose drained migrations were
+	// non-empty: assignment swaps that moved state, after the initial
+	// install.
 	RebalanceEpochs = "rebalance.epochs"
 	// RebalanceMigratedElements / RebalanceMigratedParticles total the
 	// element and resident-particle state that changed owners across all

@@ -82,7 +82,7 @@ func (ms MapperSpec) Build() (mapping.Mapper, *mapping.BinMapper, error) {
 		case "hilbert":
 			return mapping.NewHilbertMapper(m, ms.Ranks), nil, nil
 		case "weighted":
-			return mapping.NewWeightedElementMapper(m, ms.Ranks), nil, nil
+			return mapping.NewWeightedMapper(m, ms.Ranks), nil, nil
 		}
 		if !spec.None() {
 			// The dynamic mapper installs the static bisection itself on the

@@ -12,7 +12,8 @@ import (
 
 // TestGhostMatricesFollowMapper pins which mappings produce ghost matrices
 // at a positive filter: exactly the ones whose mapper answers concurrent
-// ghost queries (bin, element, and element under a rebalance policy). The
+// ghost queries (bin, element, element under a rebalance policy, and
+// weighted, which is element mapping under its own policy). The
 // generator detects the ghost source from the mapper, so a mapping that
 // gains or loses one changes this table.
 func TestGhostMatricesFollowMapper(t *testing.T) {
@@ -32,7 +33,7 @@ func TestGhostMatricesFollowMapper(t *testing.T) {
 		{"element", "", true},
 		{"element", "threshold:1.5", true},
 		{"hilbert", "", false},
-		{"weighted", "", false},
+		{"weighted", "", true},
 		{"ohhelp", "", false},
 	} {
 		ms := pipeline.MapperSpec{

@@ -15,7 +15,12 @@
 // Three policies are provided: Periodic re-bisects on a fixed cadence,
 // Threshold re-bisects only when measured imbalance exceeds a factor, and
 // Diffusion shifts boundary elements from overloaded ranks to underloaded
-// face-neighbor ranks without a global rebuild.
+// face-neighbor ranks without a global rebuild. None of them fires at frame
+// 0, where the mapping layer installs the static bisection. The mapping
+// layer's weighted mapping (mapping.NewWeightedMapper) is one more Policy:
+// it cuts the Hilbert element order into chunks of equal load at frame 0,
+// replacing the static bisection, and again whenever Imbalance outgrows
+// what its last cut achieved.
 package rebalance
 
 import (
@@ -34,9 +39,9 @@ type Load struct {
 	// Counts[e] is the number of particles resident in element e this frame.
 	Counts []int64
 	// GridLoad is the per-element fluid work expressed in particle-
-	// equivalent units (the mapping layer's grid-weight × N³), so element
-	// weight = GridLoad + Counts[e] prices empty elements consistently with
-	// the weighted mapper.
+	// equivalent units (the mapping layer's grid weight × N³). Every
+	// policy weighs element e as GridLoad + Counts[e], so empty elements
+	// still carry their grid's share.
 	GridLoad float64
 }
 
