@@ -1,6 +1,6 @@
 # Development targets. `make verify` is the full pre-merge gate: build,
-# formatting, vet, the project lint suite, and the test suite under the race
-# detector.
+# formatting, vet (of the root and the perfbench module), the project lint
+# suite, and the test suite under the race detector.
 
 GO ?= go
 
@@ -16,8 +16,12 @@ test:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
+# perfbench is its own module, so `./...` at the root never compiles it;
+# vet it too, so a change to the public API that breaks the benchmark fails
+# here rather than only in CI's perfbench job.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # lint runs cmd/piclint, the project's own analyzer suite (determinism,
 # floatcmp, closecheck, ctxflow, obsnil). A non-zero exit means an

@@ -22,14 +22,14 @@ func benchPlatform(b *testing.B) *Platform {
 	return &Platform{Models: ms, Machine: Quartz(), N: 5, Filter: 2, TotalElements: 4096}
 }
 
-// Ablation: the discrete-event engine vs the closed-form BSP recurrence on
+// Ablation: the discrete-event oracle vs the closed-form BSP recurrence on
 // identical workloads.
 func BenchmarkSimulateEventEngine(b *testing.B) {
 	p := benchPlatform(b)
 	wl := clusterWorkload(b, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Simulate(wl); err != nil {
+		if _, err := oracleSimulateEvent(p, wl); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package bsst
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -95,6 +96,47 @@ func TestPlatformValidate(t *testing.T) {
 	if err := p.Validate(); err == nil {
 		t.Error("missing kernel model accepted")
 	}
+	for _, m := range []Machine{Quartz(), Vulcan(), Titan()} {
+		p = trainedPlatform(t)
+		p.Machine = m
+		if err := p.Validate(); err != nil {
+			t.Errorf("preset %s rejected: %v", m.Name, err)
+		}
+	}
+	// A zero latency and a zero grid-point payload (the default) are valid.
+	p = trainedPlatform(t)
+	p.Machine.Latency, p.Machine.BytesPerGridPoint = 0, 0
+	if err := p.Validate(); err != nil {
+		t.Errorf("zero latency and default grid-point payload rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		field string
+		set   func(*Machine)
+	}{
+		{"Bandwidth", func(m *Machine) { m.Bandwidth = 0 }},
+		{"Bandwidth", func(m *Machine) { m.Bandwidth = -1e9 }},
+		{"Bandwidth", func(m *Machine) { m.Bandwidth = nan }},
+		{"Bandwidth", func(m *Machine) { m.Bandwidth = inf }},
+		{"Latency", func(m *Machine) { m.Latency = -1e-6 }},
+		{"Latency", func(m *Machine) { m.Latency = nan }},
+		{"Latency", func(m *Machine) { m.Latency = inf }},
+		{"BytesPerParticle", func(m *Machine) { m.BytesPerParticle = -96 }},
+		{"BytesPerParticle", func(m *Machine) { m.BytesPerParticle = nan }},
+		{"BytesPerParticle", func(m *Machine) { m.BytesPerParticle = inf }},
+		{"BytesPerGridPoint", func(m *Machine) { m.BytesPerGridPoint = -64 }},
+		{"BytesPerGridPoint", func(m *Machine) { m.BytesPerGridPoint = nan }},
+		{"BytesPerGridPoint", func(m *Machine) { m.BytesPerGridPoint = -inf }},
+	} {
+		p = trainedPlatform(t)
+		c.set(&p.Machine)
+		err := p.Validate()
+		if err == nil {
+			t.Errorf("machine %+v accepted", p.Machine)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("machine %+v: error %q does not name %s", p.Machine, err, c.field)
+		}
+	}
 }
 
 func TestIterTimeIncreasesWithLoad(t *testing.T) {
@@ -115,16 +157,16 @@ func TestIterTimeIncreasesWithLoad(t *testing.T) {
 	}
 }
 
-// The event engine and the BSP recurrence agree on the cluster fixture
+// The event oracle and the BSP recurrence agree on the cluster fixture
 // (workload 0) and on every workload of the oracle property test: compute
 // and busy time bit for bit (one shared helper fills both), wall and
-// migration to rounding (the event engine works on absolute clock times).
+// migration to rounding (the event oracle works on absolute clock times).
 func TestSimulateEngineMatchesBSP(t *testing.T) {
 	p := trainedPlatform(t)
 	wls := append([]*core.Workload{clusterWorkload(t, 8)}, propertyWorkloads(150)...)
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*(1+math.Abs(b)) }
 	for i, wl := range wls {
-		ev, err := p.Simulate(wl)
+		ev, err := oracleSimulateEvent(p, wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +200,7 @@ func TestSimulateEngineMatchesBSP(t *testing.T) {
 func TestSimulatePredictionShape(t *testing.T) {
 	p := trainedPlatform(t)
 	wl := clusterWorkload(t, 8)
-	pred, err := p.Simulate(wl)
+	pred, err := p.SimulateBSP(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +228,8 @@ func TestSimulatePredictionShape(t *testing.T) {
 func TestSimulateEmptyWorkload(t *testing.T) {
 	p := trainedPlatform(t)
 	wl := &core.Workload{Ranks: 4, RealComp: core.NewCompMatrix(4)}
-	if _, err := p.Simulate(wl); err == nil {
-		t.Error("empty workload accepted")
+	if _, err := oracleSimulateEvent(p, wl); err == nil {
+		t.Error("empty workload accepted by the event oracle")
 	}
 	if _, err := p.SimulateBSP(wl); err == nil {
 		t.Error("empty workload accepted by BSP")
@@ -276,14 +318,14 @@ func TestPredictionRankBusyAndUtilization(t *testing.T) {
 			t.Errorf("rank %d busy %v exceeds total %v", r, b, pred.Total)
 		}
 	}
-	// Event engine agrees.
-	ev, err := p.Simulate(wl)
+	// The event oracle agrees.
+	ev, err := oracleSimulateEvent(p, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := range pred.RankBusy {
 		if d := ev.RankBusy[r] - pred.RankBusy[r]; d > 1e-12 || d < -1e-12 {
-			t.Errorf("rank %d busy differs between engines", r)
+			t.Errorf("rank %d busy differs from the event oracle", r)
 		}
 	}
 	if (&Prediction{}).MeanUtilization() != 0 {
@@ -312,20 +354,5 @@ func TestMachinePresetsInternal(t *testing.T) {
 	}
 	if Titan().Name != "titan" {
 		t.Error("titan preset mislabeled")
-	}
-}
-
-func TestKernelTime(t *testing.T) {
-	p := trainedPlatform(t)
-	small, err := p.KernelTime(kernels.Pusher.Name, 100, 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := p.KernelTime(kernels.Pusher.Name, 100000, 0, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if large <= small {
-		t.Errorf("KernelTime not increasing in Np: %v vs %v", small, large)
 	}
 }

@@ -1,7 +1,6 @@
 package bsst
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -10,7 +9,7 @@ import (
 	"picpredict/internal/sparse"
 )
 
-// simMetrics carries the engines' per-interval instruments; nil when the
+// simMetrics carries a replay's per-interval instruments; nil when the
 // platform has no registry attached.
 type simMetrics struct {
 	intervals  *obs.Counter
@@ -125,8 +124,9 @@ func (c *iterMemo) iterTime(np, ngp int64) (float64, error) {
 
 // frame fills compute[r] with rank r's compute time over interval k
 // (SampleEvery iterations of IterTime), adds it to busy[r], and returns the
-// interval's largest compute time. Both engines take their per-rank compute
-// from here, in rank order, so an error names the same rank in either.
+// interval's largest compute time. SimulateBSP and the discrete-event oracle
+// of its tests both take their per-rank compute from here, in rank order, so
+// an error names the same rank in either.
 func (c *iterMemo) frame(wl *core.Workload, k, sampleEvery int, compute, busy []float64) (float64, error) {
 	reals := wl.RealComp.Frame(k)
 	var ghosts []int64
@@ -182,174 +182,18 @@ func migrationEntriesAt(wl *core.Workload, k int, dst []migEntry) []migEntry {
 	return dst
 }
 
-// The discrete-event engine. Components are processor ranks; each sampling
-// interval is one bulk-synchronous superstep:
-//
-//	IterStart(k)      — all ranks begin computing with their frame-k load;
-//	ComputeDone(k, r) — rank r finishes computing and emits its outgoing
-//	                    particle-migration and ghost-update messages;
-//	MsgArrive(k, d)   — a message lands on rank d;
-//	barrier           — when every rank has finished and every message has
-//	                    arrived, interval k ends and IterStart(k+1) fires
-//	                    at the current maximum clock (PIC iterations are
-//	                    globally synchronised by the fluid solve).
-type eventKind uint8
-
-const (
-	evComputeDone eventKind = iota
-	evMsgArrive
-)
-
-type event struct {
-	time float64
-	kind eventKind
-	rank int
-	seq  int // FIFO tie-break for determinism
-	// mig marks rebalance-migration arrivals so the interval accounting can
-	// split the critical path: interval wall without mig events is the
-	// compute+comm base, and anything beyond it is priced migration cost.
-	mig bool
-}
-
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	//lint:allow floatcmp exact tie-break keeps the event order a strict total order; a tolerance would break heap invariants
-	if q[i].time != q[j].time {
-		return q[i].time < q[j].time
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
-}
-
-// Simulate replays a generated workload through the event engine and
-// returns the predicted execution profile.
-func (p *Platform) Simulate(wl *core.Workload) (*Prediction, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if wl.RealComp.Frames() == 0 {
-		return nil, fmt.Errorf("bsst: empty workload")
-	}
-	ranks := wl.Ranks
-	sampleEvery := wl.SampleEvery
-	if sampleEvery <= 0 {
-		sampleEvery = 1
-	}
-	pred := &Prediction{Ranks: ranks, RankBusy: make([]float64, ranks)}
-	m := p.simMetrics()
-	memo := newIterMemo(p, ranks)
-	pointsPerElem := p.N * p.N * p.N
-	var migScratch []migEntry
-	migBytes := 0.0
-	compute := make([]float64, ranks)
-	clock := 0.0
-	var q eventQueue
-	seq := 0
-	push := func(t float64, k eventKind, r int, mig bool) {
-		heap.Push(&q, event{time: t, kind: k, rank: r, seq: seq, mig: mig})
-		seq++
-	}
-	for k := 0; k < wl.RealComp.Frames(); k++ {
-		m.begin()
-		// Superstep k starts at the barrier time `clock`. Pre-group the
-		// interval's messages by sender so each ComputeDone event emits
-		// its own messages in O(out-degree) rather than scanning the full
-		// communication matrix.
-		type outMsg struct {
-			dst  int
-			time float64
-			mig  bool
-		}
-		outbox := make(map[int][]outMsg)
-		for _, e := range wl.RealComm.At(k).Entries() {
-			outbox[e.Src] = append(outbox[e.Src], outMsg{dst: e.Dst, time: p.Machine.transferTime(e.Count)})
-		}
-		if wl.GhostComm != nil {
-			for _, e := range wl.GhostComm.At(k).Entries() {
-				t := float64(sampleEvery) * p.Machine.transferTime(e.Count)
-				outbox[e.Src] = append(outbox[e.Src], outMsg{dst: e.Dst, time: t})
-			}
-		}
-		if wl.MigElemComm != nil {
-			// Rebalance transfers: the old owner ships element grid state
-			// plus resident particles to the new owner, once per epoch (not
-			// per iteration — ownership moves and stays moved).
-			migScratch = migrationEntriesAt(wl, k, migScratch)
-			for _, e := range migScratch {
-				t := p.Machine.migrationTime(e.elems, e.parts, pointsPerElem)
-				outbox[e.src] = append(outbox[e.src], outMsg{dst: e.dst, time: t, mig: true})
-				migBytes += p.Machine.migrationBytes(e.elems, e.parts, pointsPerElem)
-			}
-		}
-
-		q = q[:0]
-		maxCompute, err := memo.frame(wl, k, sampleEvery, compute, pred.RankBusy)
-		if err != nil {
-			return nil, err
-		}
-		for r, c := range compute {
-			push(clock+c, evComputeDone, r, false)
-		}
-		// baseEnd is the barrier ignoring migration arrivals; intervalEnd
-		// includes them. Their difference is the interval's migration cost.
-		baseEnd := clock
-		intervalEnd := clock
-		for len(q) > 0 {
-			ev := heap.Pop(&q).(event)
-			if ev.time > intervalEnd {
-				intervalEnd = ev.time
-			}
-			if !ev.mig && ev.time > baseEnd {
-				baseEnd = ev.time
-			}
-			if ev.kind != evComputeDone {
-				continue
-			}
-			// Emit this rank's outgoing messages for the interval:
-			// migrations recorded into frame k, and the interval's ghost
-			// updates (re-sent every iteration of the superstep).
-			for _, m := range outbox[ev.rank] {
-				push(ev.time+m.time, evMsgArrive, m.dst, m.mig)
-			}
-		}
-		wall := intervalEnd - clock
-		pred.IntervalWall = append(pred.IntervalWall, wall)
-		pred.Compute = append(pred.Compute, maxCompute)
-		pred.Comm = append(pred.Comm, baseEnd-clock-maxCompute)
-		if wl.MigElemComm != nil {
-			pred.Migration = append(pred.Migration, intervalEnd-baseEnd)
-		}
-		clock = intervalEnd
-		m.end(wall)
-	}
-	pred.Total = clock
-	if wl.MigElemComm != nil {
-		m.migration(pred.MigrationSec(), migBytes)
-	}
-	m.replay(int64(ranks)*int64(wl.RealComp.Frames()), memo.evals)
-	return pred, nil
-}
-
-// SimulateBSP computes the same superstep recurrence in closed form:
-// interval wall time = max over ranks of
+// SimulateBSP replays a generated workload and returns the predicted
+// execution profile. Components are processor ranks, and each sampling
+// interval is one bulk-synchronous superstep whose wall time is, in closed
+// form, the max over ranks of
 //
 //	max(compute_r, max over senders s→r (compute_s + msgTime(s, r))).
 //
-// It is algebraically identical to the event engine (the tests verify
-// equality) and is the path used for large rank counts. Per-rank compute
-// comes from the replay's IterTime memo, and each comm barrier is a max
-// folded straight over the sealed sparse frame, in its sorted order and
-// without allocating.
+// Every prediction takes this path. The tests check it against a
+// discrete-event replay of the same supersteps. Per-rank compute comes
+// from the replay's IterTime memo, and each comm barrier is a max folded
+// straight over the sealed sparse frame, in its sorted order and without
+// allocating.
 func (p *Platform) SimulateBSP(wl *core.Workload) (*Prediction, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

@@ -2,11 +2,16 @@
 // (§II-C): a coarse-grained system-level simulator in the spirit of BE-SST.
 // It advances a per-processor simulation clock by kernel times obtained
 // from the fitted performance models evaluated at the Dynamic Workload
-// Generator's per-rank workload, and exchanges message events costed by a
-// latency/bandwidth machine model. Both a discrete-event engine and an
-// equivalent bulk-synchronous fast path are provided; the tests verify they
-// agree, and the experiments use the fast path at large rank counts.
+// Generator's per-rank workload, and exchanges messages costed by a
+// latency/bandwidth machine model. One engine replays a workload: the
+// bulk-synchronous recurrence SimulateBSP. The tests check it against a
+// discrete-event replay of the same supersteps.
 package bsst
+
+import (
+	"fmt"
+	"math"
+)
 
 // Machine is the target-system model: the interconnect parameters and the
 // per-particle payload that turn communication-matrix counts into message
@@ -83,6 +88,29 @@ func ByName(name string) (Machine, bool) {
 		return Titan(), true
 	}
 	return Machine{}, false
+}
+
+// validate reports the first parameter that cannot price a message: a
+// latency or payload that is negative or not finite, or a bandwidth that is
+// not positive and finite. A zero BytesPerGridPoint is valid and means
+// DefaultBytesPerGridPoint.
+func (m Machine) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Latency", m.Latency},
+		{"BytesPerParticle", m.BytesPerParticle},
+		{"BytesPerGridPoint", m.BytesPerGridPoint},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("bsst: machine %q: %s = %v, want finite and >= 0", m.Name, f.name, f.v)
+		}
+	}
+	if !(m.Bandwidth > 0) || math.IsInf(m.Bandwidth, 1) {
+		return fmt.Errorf("bsst: machine %q: Bandwidth = %v, want finite and > 0", m.Name, m.Bandwidth)
+	}
+	return nil
 }
 
 // transferTime is the cost of moving n particles in one message.

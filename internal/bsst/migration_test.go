@@ -62,12 +62,13 @@ func TestMachineMigrationPricing(t *testing.T) {
 	}
 }
 
-// Both engines agree on migration-priced workloads, and the per-interval
-// decomposition closes: Compute + Comm + Migration = IntervalWall.
+// SimulateBSP and the event oracle agree on migration-priced workloads, and
+// the per-interval decomposition closes: Compute + Comm + Migration =
+// IntervalWall.
 func TestSimulateMigrationInvariants(t *testing.T) {
 	p := trainedPlatform(t)
 	wl := rebalanceWorkload(t)
-	ev, err := p.Simulate(wl)
+	ev, err := oracleSimulateEvent(p, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestSimulateMigrationInvariants(t *testing.T) {
 			}
 		}
 	}
-	// The two engines agree interval for interval, migration included.
+	// The two agree interval for interval, migration included.
 	for k := range ev.IntervalWall {
 		if math.Abs(ev.IntervalWall[k]-bsp.IntervalWall[k]) > 1e-12*(1+bsp.IntervalWall[k]) {
 			t.Errorf("interval %d: event wall %v vs BSP %v", k, ev.IntervalWall[k], bsp.IntervalWall[k])
@@ -116,7 +117,8 @@ func TestSimulateMigrationInvariants(t *testing.T) {
 func TestSimulateStaticWorkloadHasNilMigration(t *testing.T) {
 	p := trainedPlatform(t)
 	wl := clusterWorkload(t, 8)
-	for _, sim := range []func(*core.Workload) (*Prediction, error){p.Simulate, p.SimulateBSP} {
+	event := func(wl *core.Workload) (*Prediction, error) { return oracleSimulateEvent(p, wl) }
+	for _, sim := range []func(*core.Workload) (*Prediction, error){event, p.SimulateBSP} {
 		pred, err := sim(wl)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package bsst
 
 import (
+	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -78,6 +79,167 @@ func oracleSimulateBSP(p *Platform, wl *core.Workload) (*Prediction, error) {
 		pred.Comm = append(pred.Comm, base-maxCompute)
 		pred.Total += wall
 	}
+	return pred, nil
+}
+
+// The discrete-event engine. Components are processor ranks; each sampling
+// interval is one bulk-synchronous superstep:
+//
+//	IterStart(k)      — all ranks begin computing with their frame-k load;
+//	ComputeDone(k, r) — rank r finishes computing and emits its outgoing
+//	                    particle-migration and ghost-update messages;
+//	MsgArrive(k, d)   — a message lands on rank d;
+//	barrier           — when every rank has finished and every message has
+//	                    arrived, interval k ends and IterStart(k+1) fires
+//	                    at the current maximum clock (PIC iterations are
+//	                    globally synchronised by the fluid solve).
+type eventKind uint8
+
+const (
+	evComputeDone eventKind = iota
+	evMsgArrive
+)
+
+type event struct {
+	time float64
+	kind eventKind
+	rank int
+	seq  int // FIFO tie-break for determinism
+	// mig marks rebalance-migration arrivals so the interval accounting can
+	// split the critical path: interval wall without mig events is the
+	// compute+comm base, and anything beyond it is priced migration cost.
+	mig bool
+}
+
+type eventQueue []event
+
+func (q eventQueue) Len() int { return len(q) }
+func (q eventQueue) Less(i, j int) bool {
+	//lint:allow floatcmp exact tie-break keeps the event order a strict total order; a tolerance would break heap invariants
+	if q[i].time != q[j].time {
+		return q[i].time < q[j].time
+	}
+	return q[i].seq < q[j].seq
+}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
+func (q *eventQueue) Pop() any {
+	old := *q
+	n := len(old)
+	x := old[n-1]
+	*q = old[:n-1]
+	return x
+}
+
+// oracleSimulateEvent replays a generated workload through the
+// discrete-event engine, the BE-SST analogue that preceded the closed-form
+// recurrence: it pushes every compute-done and message-arrival event through
+// a priority queue on an absolute clock. SimulateBSP must agree with it
+// interval for interval, to rounding.
+func oracleSimulateEvent(p *Platform, wl *core.Workload) (*Prediction, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	if wl.RealComp.Frames() == 0 {
+		return nil, fmt.Errorf("bsst: empty workload")
+	}
+	ranks := wl.Ranks
+	sampleEvery := wl.SampleEvery
+	if sampleEvery <= 0 {
+		sampleEvery = 1
+	}
+	pred := &Prediction{Ranks: ranks, RankBusy: make([]float64, ranks)}
+	m := p.simMetrics()
+	memo := newIterMemo(p, ranks)
+	pointsPerElem := p.N * p.N * p.N
+	var migScratch []migEntry
+	migBytes := 0.0
+	compute := make([]float64, ranks)
+	clock := 0.0
+	var q eventQueue
+	seq := 0
+	push := func(t float64, k eventKind, r int, mig bool) {
+		heap.Push(&q, event{time: t, kind: k, rank: r, seq: seq, mig: mig})
+		seq++
+	}
+	for k := 0; k < wl.RealComp.Frames(); k++ {
+		m.begin()
+		// Superstep k starts at the barrier time `clock`. Pre-group the
+		// interval's messages by sender so each ComputeDone event emits
+		// its own messages in O(out-degree) rather than scanning the full
+		// communication matrix.
+		type outMsg struct {
+			dst  int
+			time float64
+			mig  bool
+		}
+		outbox := make(map[int][]outMsg)
+		for _, e := range wl.RealComm.At(k).Entries() {
+			outbox[e.Src] = append(outbox[e.Src], outMsg{dst: e.Dst, time: p.Machine.transferTime(e.Count)})
+		}
+		if wl.GhostComm != nil {
+			for _, e := range wl.GhostComm.At(k).Entries() {
+				t := float64(sampleEvery) * p.Machine.transferTime(e.Count)
+				outbox[e.Src] = append(outbox[e.Src], outMsg{dst: e.Dst, time: t})
+			}
+		}
+		if wl.MigElemComm != nil {
+			// Rebalance transfers: the old owner ships element grid state
+			// plus resident particles to the new owner, once per epoch (not
+			// per iteration — ownership moves and stays moved).
+			migScratch = migrationEntriesAt(wl, k, migScratch)
+			for _, e := range migScratch {
+				t := p.Machine.migrationTime(e.elems, e.parts, pointsPerElem)
+				outbox[e.src] = append(outbox[e.src], outMsg{dst: e.dst, time: t, mig: true})
+				migBytes += p.Machine.migrationBytes(e.elems, e.parts, pointsPerElem)
+			}
+		}
+
+		q = q[:0]
+		maxCompute, err := memo.frame(wl, k, sampleEvery, compute, pred.RankBusy)
+		if err != nil {
+			return nil, err
+		}
+		for r, c := range compute {
+			push(clock+c, evComputeDone, r, false)
+		}
+		// baseEnd is the barrier ignoring migration arrivals; intervalEnd
+		// includes them. Their difference is the interval's migration cost.
+		baseEnd := clock
+		intervalEnd := clock
+		for len(q) > 0 {
+			ev := heap.Pop(&q).(event)
+			if ev.time > intervalEnd {
+				intervalEnd = ev.time
+			}
+			if !ev.mig && ev.time > baseEnd {
+				baseEnd = ev.time
+			}
+			if ev.kind != evComputeDone {
+				continue
+			}
+			// Emit this rank's outgoing messages for the interval:
+			// migrations recorded into frame k, and the interval's ghost
+			// updates (re-sent every iteration of the superstep).
+			for _, m := range outbox[ev.rank] {
+				push(ev.time+m.time, evMsgArrive, m.dst, m.mig)
+			}
+		}
+		wall := intervalEnd - clock
+		pred.IntervalWall = append(pred.IntervalWall, wall)
+		pred.Compute = append(pred.Compute, maxCompute)
+		pred.Comm = append(pred.Comm, baseEnd-clock-maxCompute)
+		if wl.MigElemComm != nil {
+			pred.Migration = append(pred.Migration, intervalEnd-baseEnd)
+		}
+		clock = intervalEnd
+		m.end(wall)
+	}
+	pred.Total = clock
+	if wl.MigElemComm != nil {
+		m.migration(pred.MigrationSec(), migBytes)
+	}
+	m.replay(int64(ranks)*int64(wl.RealComp.Frames()), memo.evals)
 	return pred, nil
 }
 
@@ -266,9 +428,10 @@ func (m poisonedModel) Predict(x []float64) (float64, error) {
 	return m.Model.Predict(x)
 }
 
-// A model that fails on one pair makes both engines fail with that error —
-// whether the pair is a busy rank's or the idle (0, 0) one the memo
-// short-circuits — and leaves the replay counters untouched.
+// A model that fails on one pair makes SimulateBSP and the event oracle
+// fail with that error — whether the pair is a busy rank's or the idle
+// (0, 0) one the memo short-circuits — and leaves the replay counters
+// untouched.
 func TestSimulateModelErrorPropagates(t *testing.T) {
 	wl := countedWorkload()
 	for _, pair := range [][2]int64{{5, 1}, {7, 0}, {0, 0}} {
@@ -278,7 +441,8 @@ func TestSimulateModelErrorPropagates(t *testing.T) {
 		}
 		p.Obs = obs.New()
 		for name, sim := range map[string]func(*core.Workload) (*Prediction, error){
-			"event": p.Simulate, "bsp": p.SimulateBSP,
+			"event": func(wl *core.Workload) (*Prediction, error) { return oracleSimulateEvent(p, wl) },
+			"bsp":   p.SimulateBSP,
 		} {
 			if _, err := sim(wl); !errors.Is(err, errPoisoned) {
 				t.Errorf("pair %v, %s engine: err = %v, want the model's error", pair, name, err)
@@ -320,13 +484,13 @@ func countedWorkload() *core.Workload {
 }
 
 // Each completed replay adds R×T to bsst.rank_intervals and its distinct
-// pair count to bsst.iter_evals, once, whichever engine ran it.
+// pair count to bsst.iter_evals, once.
 func TestReplayCounters(t *testing.T) {
 	p := trainedPlatform(t)
 	p.Obs = obs.New()
 	wl := countedWorkload()
-	for i, sim := range []func(*core.Workload) (*Prediction, error){p.SimulateBSP, p.SimulateBSP, p.Simulate} {
-		if _, err := sim(wl); err != nil {
+	for i := 0; i < 3; i++ {
+		if _, err := p.SimulateBSP(wl); err != nil {
 			t.Fatal(err)
 		}
 		snap := p.Obs.Snapshot()

@@ -43,7 +43,7 @@ func (p *Platform) Validate() error {
 	if p.TotalElements <= 0 {
 		return fmt.Errorf("bsst: TotalElements = %d", p.TotalElements)
 	}
-	return nil
+	return p.Machine.validate()
 }
 
 // workloadAt builds the kernel workload parameter vector of one rank.
@@ -75,16 +75,6 @@ func (p *Platform) IterTime(np, ngp int64, ranks int) (float64, error) {
 		}
 	}
 	return t, nil
-}
-
-// KernelTime predicts one kernel's per-iteration time for a rank workload.
-func (p *Platform) KernelTime(name string, np, ngp int64, ranks int) (float64, error) {
-	w := p.workloadAt(np, ngp, ranks)
-	v, err := p.Models[name].Predict(w.Features())
-	if err != nil {
-		return 0, fmt.Errorf("bsst: %s model: %w", name, err)
-	}
-	return v, nil
 }
 
 // Prediction is the simulated execution of a workload on the platform.

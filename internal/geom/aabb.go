@@ -142,19 +142,6 @@ func (b AABB) IntersectsSphere(c Vec3, radius float64) bool {
 	return d2 <= radius*radius
 }
 
-// SphereDist2 returns the squared distance from c to the closed box,
-// accumulated as x² + (y² + z²) — the association Grid.CellsInSphere uses
-// for its per-cell test. Batched (tiled) queries that must reproduce the
-// per-particle CellsInSphere verdict bit-for-bit compare this value against
-// radius², so the association here must not change. Empty boxes are
-// infinitely far away.
-func (b AABB) SphereDist2(c Vec3) float64 {
-	if b.Empty() {
-		return math.Inf(1)
-	}
-	return axisDist2(c.X, b.Lo.X, b.Hi.X) + (axisDist2(c.Y, b.Lo.Y, b.Hi.Y) + axisDist2(c.Z, b.Lo.Z, b.Hi.Z))
-}
-
 // Outset returns the box grown by r on every side, with each bound nudged
 // one ulp further outward. The nudge makes the result conservative: it
 // contains the exact (real-arithmetic) inflation even though r is applied

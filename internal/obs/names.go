@@ -109,8 +109,8 @@ const (
 )
 
 // Canonical metric names of the BSP simulator's replay accounting
-// (internal/bsst). Both engines add to them once per completed replay; the
-// gap between the two is the IterTime work the per-replay memo saved.
+// (internal/bsst). Each completed replay adds to both once; the gap between
+// the two is the IterTime work the per-replay memo saved.
 const (
 	// BsstRankIntervals counts the (rank, interval) cells replayed: R × T
 	// per replay.

@@ -21,7 +21,6 @@ package obs
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,22 +235,6 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.Unlock()
 	s.Stages = r.Stages()
 	return s
-}
-
-// CounterNames returns the sorted names of all counters — handy for tests
-// and debug dumps.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ctxKey is the context key type for registry propagation.

@@ -103,8 +103,8 @@ func (ms MapperSpec) Build() (mapping.Mapper, *mapping.BinMapper, error) {
 }
 
 // GeneratorBuilder is the Dynamic Workload Generator wired as a pipeline
-// stage: a WorkloadBuilder that also records per-frame bin counts when the
-// mapper is bin-based.
+// stage: a FrameSink that folds frames into a workload and also records
+// per-frame bin counts when the mapper is bin-based.
 type GeneratorBuilder struct {
 	Gen  *core.Generator
 	Bins *mapping.BinMapper // nil unless bin mapping
@@ -146,7 +146,5 @@ func (b *GeneratorBuilder) Frame(iteration int, pos []geom.Vec3) error {
 	return nil
 }
 
-// Finish implements WorkloadBuilder.
+// Finish returns the workload built from every frame seen.
 func (b *GeneratorBuilder) Finish() (*core.Workload, error) { return b.Gen.Finish() }
-
-var _ WorkloadBuilder = (*GeneratorBuilder)(nil)

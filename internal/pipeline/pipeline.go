@@ -1,8 +1,7 @@
-// Package pipeline composes the prediction framework's three modules
-// (Dynamic Workload Generator, Model Generator, Simulation Platform, §II)
-// into streaming stages: frame sources push trace frames through sinks,
-// workload builders fold frames into workload matrices, and simulators
-// replay finished workloads — all under one context, in one process.
+// Package pipeline streams trace frames from a source to the sinks that
+// consume them — trace writers and the Dynamic Workload Generator (§II) —
+// under one context, in one process. Callers replay the finished workloads
+// on the Simulation Platform (bsst.Platform.SimulateBSP).
 //
 // Two wiring modes share the same stage types:
 //
@@ -25,8 +24,6 @@ import (
 	"strings"
 	"time"
 
-	"picpredict/internal/bsst"
-	"picpredict/internal/core"
 	"picpredict/internal/geom"
 	"picpredict/internal/obs"
 )
@@ -52,35 +49,6 @@ type FrameSource interface {
 // adapters, and checkpoint bookkeeping all sit behind this one interface.
 type FrameSink interface {
 	Frame(iteration int, pos []geom.Vec3) error
-}
-
-// WorkloadBuilder is a FrameSink that folds the frames it has seen into a
-// finished workload — the Dynamic Workload Generator as a pipeline stage.
-// *core.Generator satisfies it.
-type WorkloadBuilder interface {
-	FrameSink
-	Finish() (*core.Workload, error)
-}
-
-var _ WorkloadBuilder = (*core.Generator)(nil)
-
-// Simulator is the Simulation Platform as a pipeline stage: it replays a
-// finished workload and predicts the execution profile. *bsst.Platform's
-// BSP adapter satisfies it via BSPSimulator.
-type Simulator interface {
-	Simulate(ctx context.Context, wl *core.Workload) (*bsst.Prediction, error)
-}
-
-// BSPSimulator adapts bsst.Platform's closed-form bulk-synchronous engine
-// to the Simulator stage interface.
-type BSPSimulator struct{ Platform *bsst.Platform }
-
-// Simulate implements Simulator.
-func (s BSPSimulator) Simulate(ctx context.Context, wl *core.Workload) (*bsst.Prediction, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return s.Platform.SimulateBSP(wl)
 }
 
 // NamedStage lets a sink (or source) choose the name its per-stage metrics

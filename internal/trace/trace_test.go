@@ -186,105 +186,6 @@ func TestFloat32PrecisionBounded(t *testing.T) {
 	}
 }
 
-func TestSampler(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := NewWriter(&buf, testHeader(1))
-	s := NewSampler(w)
-	pos := []geom.Vec3{geom.V(1, 1, 0.5)}
-	for it := 0; it <= 350; it++ {
-		if err := s.Observe(it, pos); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Frames at iterations 0, 100, 200, 300.
-	r, _ := NewReader(&buf)
-	its, _, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 100, 200, 300}
-	if len(its) != len(want) {
-		t.Fatalf("sampled iterations %v, want %v", its, want)
-	}
-	for i := range want {
-		if its[i] != want[i] {
-			t.Errorf("frame %d at iteration %d, want %d", i, its[i], want[i])
-		}
-	}
-}
-
-func TestSamplerStickyError(t *testing.T) {
-	w, _ := NewWriter(io.Discard, testHeader(2))
-	s := NewSampler(w)
-	// Wrong frame size triggers an error that must stick.
-	if err := s.Observe(0, make([]geom.Vec3, 1)); err == nil {
-		t.Fatal("bad frame accepted")
-	}
-	if s.Err() == nil {
-		t.Error("error not sticky")
-	}
-	if err := s.Observe(100, make([]geom.Vec3, 2)); err == nil {
-		t.Error("Observe after error returned nil")
-	}
-	if err := s.Close(); err == nil {
-		t.Error("Close after error returned nil")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	h := testHeader(2)
-	var bin bytes.Buffer
-	w, _ := NewWriter(&bin, h)
-	_ = w.WriteFrame(0, []geom.Vec3{geom.V(1, 2, 0.5), geom.V(3, 4, 0.25)})
-	_ = w.WriteFrame(100, []geom.Vec3{geom.V(1.5, 2, 0.5), geom.V(3, 4.5, 0.25)})
-	_ = w.Flush()
-
-	r, _ := NewReader(bytes.NewReader(bin.Bytes()))
-	var csv bytes.Buffer
-	if err := WriteCSV(&csv, r); err != nil {
-		t.Fatal(err)
-	}
-
-	var bin2 bytes.Buffer
-	if err := ReadCSV(&bin2, bytes.NewReader(csv.Bytes()), h); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := NewReader(&bin2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	its, pos, err := r2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(its) != 2 || its[1] != 100 {
-		t.Fatalf("iterations = %v", its)
-	}
-	if pos[0].Sub(geom.V(1, 2, 0.5)).Norm() > 1e-6 || pos[3].Sub(geom.V(3, 4.5, 0.25)).Norm() > 1e-6 {
-		t.Errorf("positions wrong: %v", pos)
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	h := testHeader(2)
-	cases := []string{
-		"0,0,1,2,3\n0,0,1,2,3\n", // duplicate particle index
-		"0,1,1,2,3\n",            // out of order
-		"0,0,1,2\n",              // too few fields
-		"x,0,1,2,3\n",            // bad iteration
-		"0,0,1,2,3\n",            // incomplete frame (1 of 2 particles)
-	}
-	for i, c := range cases {
-		var out bytes.Buffer
-		if err := ReadCSV(&out, bytes.NewBufferString(c), h); err == nil {
-			t.Errorf("case %d accepted: %q", i, c)
-		}
-	}
-}
-
 func TestCompressedRoundTrip(t *testing.T) {
 	h := testHeader(50)
 	rng := rand.New(rand.NewSource(9))

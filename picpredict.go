@@ -27,7 +27,7 @@
 //	platform, _ := picpredict.NewPlatform(models, picpredict.PlatformOptions{
 //		TotalElements: spec.NumElements(), N: 5, Filter: 2,
 //	})
-//	pred, _ := platform.Simulate(wl)
+//	pred, _ := platform.SimulateBSP(wl)
 //	fmt.Println(pred.Total)
 //
 // Everything is deterministic under fixed seeds; no external dependencies.

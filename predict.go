@@ -154,18 +154,8 @@ func fromInner(p *bsst.Prediction) *Prediction {
 	}
 }
 
-// Simulate replays a workload through the discrete-event engine and
-// returns the predicted execution profile.
-func (p *Platform) Simulate(w *Workload) (*Prediction, error) {
-	pred, err := p.inner.Simulate(w.internalWorkload())
-	if err != nil {
-		return nil, fmt.Errorf("picpredict: %w", err)
-	}
-	return fromInner(pred), nil
-}
-
-// SimulateBSP uses the closed-form bulk-synchronous recurrence (identical
-// results, faster at large rank counts).
+// SimulateBSP replays a workload through the Simulation Platform's
+// bulk-synchronous recurrence and returns the predicted execution profile.
 func (p *Platform) SimulateBSP(w *Workload) (*Prediction, error) {
 	pred, err := p.inner.SimulateBSP(w.internalWorkload())
 	if err != nil {

@@ -1,6 +1,7 @@
 package picpredict
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -83,19 +84,12 @@ func TestPlatformEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred, err := p.Simulate(wl)
+	pred, err := p.SimulateBSP(wl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pred.Total <= 0 || len(pred.IntervalWall) != wl.Frames() {
 		t.Fatalf("prediction: %+v", pred)
-	}
-	bsp, err := p.SimulateBSP(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := pred.Total - bsp.Total; diff > 1e-9*bsp.Total || diff < -1e-9*bsp.Total {
-		t.Errorf("engine %v != BSP %v", pred.Total, bsp.Total)
 	}
 
 	acc, err := p.KernelAccuracy(wl, 0.105, 7)
@@ -122,6 +116,34 @@ func TestNewPlatformValidation(t *testing.T) {
 	}
 	if _, err := NewPlatform(sharedModels(t), PlatformOptions{TotalElements: 0}); err == nil {
 		t.Error("zero elements accepted")
+	}
+	for _, name := range MachineNames() {
+		m, err := MachineByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewPlatform(sharedModels(t), PlatformOptions{TotalElements: 10, Machine: &m}); err != nil {
+			t.Errorf("preset %s rejected: %v", name, err)
+		}
+	}
+	for _, c := range []struct {
+		field string
+		set   func(*MachineSpec)
+	}{
+		{"Bandwidth", func(m *MachineSpec) { m.BandwidthBps = 0 }},
+		{"Bandwidth", func(m *MachineSpec) { m.BandwidthBps = math.Inf(1) }},
+		{"Latency", func(m *MachineSpec) { m.LatencySec = -1e-6 }},
+		{"BytesPerParticle", func(m *MachineSpec) { m.BytesPerParticle = math.NaN() }},
+		{"BytesPerGridPoint", func(m *MachineSpec) { m.BytesPerGridPoint = -64 }},
+	} {
+		m := QuartzMachine()
+		c.set(&m)
+		_, err := NewPlatform(sharedModels(t), PlatformOptions{TotalElements: 10, Machine: &m})
+		if err == nil {
+			t.Errorf("machine %+v accepted", m)
+		} else if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("machine %+v: error %q does not name %s", m, err, c.field)
+		}
 	}
 }
 
