@@ -443,19 +443,21 @@ func (g *Generator) buildTiling(pos []geom.Vec3) *tile.Tiling {
 	return g.tb.Build(pos, tileCellRadii*g.cfg.FilterRadius, len(pos)+1)
 }
 
-// pairSlotBits sizes the fill's pair table at pairSlots slots.
+// pairSlotBits sizes the fill's pair tables at pairSlots slots, 80 KiB a
+// table.
 const (
-	pairSlotBits = 8
+	pairSlotBits = 12
 	pairSlots    = 1 << pairSlotBits
 )
 
-// pairTable tallies one tile's (src, dst) → count pairs in a fixed
+// pairTable tallies one fill range's (src, dst) → count pairs in a fixed
 // direct-mapped table before they reach the sparse accumulator, so a
-// repeated pair costs one slot increment instead of a hash-map update. A
-// pair whose slot holds another pair evicts that entry straight into the
-// accumulator, so the table never grows: its memory is fixed whatever the
-// tile spans. Every update is an integer add, so the sealed matrix is the
-// same for any slot count or eviction pattern.
+// repeated pair costs one slot increment instead of a hash-map update, and
+// the accumulator sees each surviving pair once per range. A pair whose
+// slot holds another pair evicts that entry straight into the accumulator,
+// so the table never grows: its memory is fixed whatever the range spans.
+// Every update is an integer add, so the sealed matrix is the same for any
+// slot count, eviction pattern or flush point.
 type pairTable struct {
 	key  [pairSlots]uint64 // packed (src, dst) of each occupied slot
 	n    [pairSlots]int64  // count per slot; 0 marks a free slot
@@ -511,9 +513,10 @@ type tileScratch struct {
 // fillTileRange fills the matrices from tiles [t0, t1) of tl. Per tile it
 // walks the member particles once for the dense comp row and the migration
 // pairs, then answers the tile's ghost query in one batched call and folds
-// the per-particle rank sets into the ghost row and copy pairs. All updates
-// are integer adds, so any tile partition produces the results of the flat
-// per-particle loop bit-for-bit.
+// the per-particle rank sets into the ghost row and copy pairs. The pair
+// tables flush into the accumulators once, after the last tile. All
+// updates are integer adds, so any tile partition produces the results of
+// the flat per-particle loop bit-for-bit.
 func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, src mapping.GhostSource, scr *tileScratch,
 	comp []int64, comm *sparse.Acc, gcomp []int64, gcomm *sparse.Acc, withComm bool) error {
 	radius := g.cfg.FilterRadius
@@ -533,9 +536,6 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 				}
 			}
 		}
-		if err := scr.commPairs.flush(comm); err != nil {
-			return err
-		}
 		scr.flat, scr.offs = src.GhostRanksTile(scr.flat[:0], scr.offs[:0], ids, pos, g.cur, radius)
 		prev := 0
 		for j, i := range ids {
@@ -549,11 +549,11 @@ func (g *Generator) fillTileRange(tl *tile.Tiling, t0, t1 int, pos []geom.Vec3, 
 			}
 			prev = end
 		}
-		if err := scr.ghostPairs.flush(gcomm); err != nil {
-			return err
-		}
 	}
-	return nil
+	if err := scr.commPairs.flush(comm); err != nil {
+		return err
+	}
+	return scr.ghostPairs.flush(gcomm)
 }
 
 // Finish finalises and returns the workload. Frame may not be called again.

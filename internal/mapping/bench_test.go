@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,6 +39,30 @@ func benchBinAssign(b *testing.B, policy SplitPolicy) {
 		}
 	}
 	b.ReportMetric(float64(len(pos)), "particles/frame")
+}
+
+// BenchmarkBinAssignPaper assigns one paper-scale frame: the
+// 599,257-particle disc of internal/sweep's benchmark trace (frame 0) onto
+// R = 8352 ranks at the paper's threshold bin size 0.004. Unlike the 50k
+// cloud above, this frame does not fit in cache.
+func BenchmarkBinAssignPaper(b *testing.B) {
+	const np = 599257
+	rng := rand.New(rand.NewSource(71))
+	pos := make([]geom.Vec3, np)
+	for i := range pos {
+		r := 0.45 * math.Sqrt(rng.Float64())
+		th := 2 * math.Pi * rng.Float64()
+		pos[i] = geom.V(0.5+r*math.Cos(th), 0.5+r*math.Sin(th), 0)
+	}
+	bm := NewBinMapper(8352, 0.004)
+	dst := make([]int, np)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := bm.Assign(dst, pos); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(bm.NumBins()), "bins")
 }
 
 func BenchmarkElementAssign(b *testing.B) {

@@ -2,6 +2,7 @@ package mapping
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"picpredict/internal/geom"
@@ -34,7 +35,12 @@ func (p SplitPolicy) String() string {
 // Bin is one leaf of the recursive planar cut: a set of particles with its
 // tight bounding box.
 type Bin struct {
-	// Box is the tight bounding box of the bin's particles.
+	// Box is the tight bounding box of the bin's particles. A bound that
+	// is zero where both −0 and +0 occur among the bin's extreme
+	// coordinates may carry either sign: the cut treats the two zeros as
+	// one coordinate, so it does not say which particle supplies the bound.
+	// Every comparison the mapping and its ghost queries make reads the
+	// two zeros as equal.
 	Box geom.AABB
 	// Count is the number of particles in the bin.
 	Count int
@@ -70,9 +76,18 @@ type BinMapper struct {
 	// results of the most recent Assign
 	lastBins []Bin
 
-	// scratch
-	perm  []int
-	keys  []float64 // cut-axis coordinates gathered per split, aligned with perm
+	// Per-frame scratch, reused across frames: 16 B per particle plus one
+	// bit. ord[a] holds the particle ids sorted by (coordinate along axis
+	// a, index), and every bin is the same window [lo, hi) of all three
+	// orders. spill is the radix sort's second buffer and the stable
+	// partition's spill; low marks the particles on the low side of the
+	// current cut.
+	ord   [3][]int32
+	spill []int32
+	low   []uint64
+	hist  [keyDigits][keyBuckets]int32
+	queue []binRange
+
 	index *binIndex // ghost-query accelerator, rebuilt per Assign
 
 	// ghost-query views: ownView backs the mapper's own GhostRanks,
@@ -97,11 +112,12 @@ func (bm *BinMapper) Bins() []Bin { return bm.lastBins }
 // NumBins returns the number of bins produced by the most recent Assign.
 func (bm *BinMapper) NumBins() int { return len(bm.lastBins) }
 
-// binRange is a work-queue item: a contiguous range of bm.perm plus its box.
+// binRange is one bin of the cut: the window [lo, hi) of every axis order.
+// The queue holds every bin the cut creates, in creation order; split marks
+// the ones cut further, so the rest are the leaves.
 type binRange struct {
-	lo, hi int // perm[lo:hi]
-	box    geom.AABB
-	seq    int // creation order, for deterministic output ordering
+	lo, hi int32
+	split  bool
 }
 
 // Assign implements Mapper.
@@ -115,19 +131,15 @@ func (bm *BinMapper) Assign(dst []int, pos []geom.Vec3) error {
 	if bm.Threshold < 0 {
 		return fmt.Errorf("mapping: negative threshold %g", bm.Threshold)
 	}
+	if len(pos) > math.MaxInt32 {
+		return fmt.Errorf("mapping: %d particles exceed the bin mapper's int32 ids", len(pos))
+	}
 	bm.lastBins = bm.lastBins[:0]
 	bm.index = nil // bins change; the ghost index rebuilds lazily
 	if len(pos) == 0 {
 		return nil
 	}
-	if cap(bm.perm) < len(pos) {
-		bm.perm = make([]int, len(pos))
-		bm.keys = make([]float64, len(pos))
-	}
-	perm := bm.perm[:len(pos)]
-	for i := range perm {
-		perm[i] = i
-	}
+	bm.presort(pos)
 
 	maxBins := bm.NumRanks
 	if bm.Relaxed {
@@ -136,7 +148,7 @@ func (bm *BinMapper) Assign(dst []int, pos []geom.Vec3) error {
 	// Breadth-first recursive planar cut: bins split in creation order, so
 	// the partition deepens level by level, as in CMT-nek's recursive
 	// decomposition. Bins already at the threshold bin size (or holding a
-	// single particle) are final and move to done.
+	// single particle) are final.
 	//
 	// The processor-count termination is checked at *level boundaries*:
 	// once a level starts, it completes, so the final bin count may land
@@ -147,186 +159,187 @@ func (bm *BinMapper) Assign(dst []int, pos []geom.Vec3) error {
 	// boundary grows enough that the threshold yields more bins than
 	// processors, the smallest configuration must co-locate bins and its
 	// peak workload rises above the larger configurations'.
-	seq := 0
-	var done []binRange
-	queue := []binRange{{lo: 0, hi: len(pos), box: geom.BoundingBox(pos), seq: seq}}
-	head := 0
-	levelEnd := len(queue)
+	queue := append(bm.queue[:0], binRange{lo: 0, hi: int32(len(pos))})
+	head, levelEnd, final := 0, 1, 0
 	for head < len(queue) {
 		if head == levelEnd {
 			// Level boundary: stop deepening once the bin count has
 			// reached the processor budget.
-			if len(done)+(len(queue)-head) >= maxBins {
+			if final+(len(queue)-head) >= maxBins {
 				break
 			}
 			levelEnd = len(queue)
 		}
-		top := queue[head]
+		b := queue[head]
 		head++
-		if top.box.MaxExtent() <= bm.Threshold || top.hi-top.lo < 2 {
-			done = append(done, top)
+		box := bm.box(b, pos)
+		if box.MaxExtent() <= bm.Threshold || b.hi-b.lo < 2 {
+			final++
 			continue
 		}
-		l, r := bm.split(top, pos, perm)
-		seq++
-		l.seq = seq
-		seq++
-		r.seq = seq
-		queue = append(queue, l, r)
+		cut := bm.split(b, box, pos)
+		queue[head-1].split = true
+		queue = append(queue, binRange{lo: b.lo, hi: cut}, binRange{lo: cut, hi: b.hi})
 	}
+	bm.queue = queue
 
-	// Stable bin order: sort by creation sequence for determinism, then
-	// assign ranks round-robin (1:1 while bins ≤ R).
-	bins := append(done, queue[head:]...)
-	sort.Slice(bins, func(a, b int) bool { return bins[a].seq < bins[b].seq })
-	for i, b := range bins {
-		rank := i % bm.NumRanks
-		for _, pi := range perm[b.lo:b.hi] {
+	// The leaves in creation order take ranks round-robin (1:1 while
+	// bins ≤ R).
+	for _, b := range queue {
+		if b.split {
+			continue
+		}
+		rank := len(bm.lastBins) % bm.NumRanks
+		for _, pi := range bm.ord[0][b.lo:b.hi] {
 			dst[pi] = rank
 		}
-		bm.lastBins = append(bm.lastBins, Bin{Box: b.box, Count: b.hi - b.lo, Rank: rank})
+		bm.lastBins = append(bm.lastBins, Bin{Box: bm.box(b, pos), Count: int(b.hi - b.lo), Rank: rank})
 	}
 	return nil
 }
 
-// split cuts bin b into two halves by a planar cut along the longest axis
-// of its (tight) box, reordering perm[lo:hi] so each half is contiguous.
-// The bin's coordinates along the cut axis are first gathered into a column
-// aligned with perm[lo:hi], so the cut reads contiguous keys instead of
-// chasing perm into pos. Median cuts use a deterministic quickselect —
-// O(n) per cut instead of a full sort — which partitions by the composite
-// key (coordinate, index), so the resulting half-sets are identical to what
-// a stable sort would give.
-func (bm *BinMapper) split(b binRange, pos []geom.Vec3, perm []int) (binRange, binRange) {
-	axis := b.box.LongestAxis()
-	seg := perm[b.lo:b.hi]
-	col := bm.keys[b.lo:b.hi]
-	gatherAxis(col, seg, pos, axis)
-	var cut int
-	switch bm.Policy {
-	case SplitMidpoint:
-		mid := b.box.Center().Axis(axis)
-		cut = partitionByValue(col, seg, mid)
-		if cut == 0 || cut == len(seg) {
-			cut = len(seg) / 2 // degenerate midpoint: fall back to median
-			selectKeys(col, seg, cut)
+// split cuts bin b, whose tight box is box, by a planar cut along the
+// box's longest axis and returns the cut's position in the windows. The
+// bin's window of the cut axis's order is already sorted by (coordinate,
+// index), so a median cut takes the middle of the window and a midpoint
+// cut binary-searches it: the low half is exactly the set a selection by
+// that key would give. The windows of the other two axes are stably
+// partitioned by side, so every child window stays sorted.
+func (bm *BinMapper) split(b binRange, box geom.AABB, pos []geom.Vec3) int32 {
+	axis := box.LongestAxis()
+	win := bm.ord[axis][b.lo:b.hi]
+	cut := len(win) / 2
+	if bm.Policy == SplitMidpoint {
+		mid := box.Center().Axis(axis)
+		c := sort.Search(len(win), func(i int) bool { return !(coord(pos[win[i]], axis) < mid) })
+		if c > 0 && c < len(win) { // else degenerate midpoint: keep the median
+			cut = c
 		}
-	default: // SplitMedian
-		cut = len(seg) / 2
-		selectKeys(col, seg, cut)
 	}
-	mkRange := func(lo, hi int) binRange {
-		box := geom.EmptyBox()
-		for _, pi := range perm[lo:hi] {
-			box = box.Extend(pos[pi])
+	low := bm.low
+	for _, id := range win[:cut] {
+		low[id>>6] |= 1 << (id & 63)
+	}
+	for _, id := range win[cut:] {
+		low[id>>6] &^= 1 << (id & 63)
+	}
+	for a := range bm.ord {
+		if a != axis {
+			partitionLow(bm.ord[a][b.lo:b.hi], bm.spill, low)
 		}
-		return binRange{lo: lo, hi: hi, box: box}
 	}
-	return mkRange(b.lo, b.lo+cut), mkRange(b.lo+cut, b.hi)
+	return b.lo + int32(cut)
 }
 
-// gatherAxis sets col[i] to the coordinate of particle seg[i] along axis.
-func gatherAxis(col []float64, seg []int, pos []geom.Vec3, axis int) {
+// partitionLow stably moves the ids of win marked in low to its front,
+// spilling the others through spill. It stores every id on both sides and
+// advances one cursor, so the side mark costs no branch.
+func partitionLow(win, spill []int32, low []uint64) {
+	l, r := 0, 0
+	for _, id := range win {
+		bit := int(low[id>>6] >> (id & 63) & 1)
+		win[l] = id
+		spill[r] = id
+		l += bit
+		r += 1 - bit
+	}
+	copy(win[l:], spill[:r])
+}
+
+// box returns the tight box of bin b, read from the ends of its windows.
+func (bm *BinMapper) box(b binRange, pos []geom.Vec3) geom.AABB {
+	x, y, z := bm.ord[0], bm.ord[1], bm.ord[2]
+	lo, hi := b.lo, b.hi-1
+	return geom.AABB{
+		Lo: geom.V(pos[x[lo]].X, pos[y[lo]].Y, pos[z[lo]].Z),
+		Hi: geom.V(pos[x[hi]].X, pos[y[hi]].Y, pos[z[hi]].Z),
+	}
+}
+
+// The presort's radix: keys of keyDigits digits of keyBits bits each.
+const (
+	keyBits    = 11
+	keyBuckets = 1 << keyBits
+	keyDigits  = (64 + keyBits - 1) / keyBits
+)
+
+// presort sizes the scratch for len(pos) particles and sorts each axis
+// order by (coordinate, index): a stable LSD radix sort of the ids, in
+// index order, on the coordinate's order-preserving key. One pass over the
+// frame counts every digit; a digit all keys share is skipped.
+func (bm *BinMapper) presort(pos []geom.Vec3) {
+	n := len(pos)
+	if cap(bm.spill) < n {
+		for a := range bm.ord {
+			bm.ord[a] = make([]int32, n)
+		}
+		bm.spill = make([]int32, n)
+		bm.low = make([]uint64, (n+63)/64)
+	}
+	bm.spill = bm.spill[:n]
+	bm.low = bm.low[:(n+63)/64]
+	for a := range bm.ord {
+		bm.ord[a] = bm.ord[a][:n]
+		bm.sortAxis(pos, a)
+	}
+}
+
+// sortAxis leaves ord[axis] sorted by (coordinate along axis, index).
+func (bm *BinMapper) sortAxis(pos []geom.Vec3, axis int) {
+	h := &bm.hist
+	*h = [keyDigits][keyBuckets]int32{}
+	for _, p := range pos {
+		k := sortKey(coord(p, axis))
+		for d := range h {
+			h[d][k>>(d*keyBits)&(keyBuckets-1)]++
+		}
+	}
+	src, dst := bm.ord[axis], bm.spill
+	for i := range src {
+		src[i] = int32(i)
+	}
+	k0 := sortKey(coord(pos[0], axis))
+	for d := range h {
+		shift := d * keyBits
+		counts := &h[d]
+		if int(counts[k0>>shift&(keyBuckets-1)]) == len(pos) {
+			continue
+		}
+		var sum int32
+		for b, c := range counts {
+			counts[b] = sum
+			sum += c
+		}
+		for _, id := range src {
+			b := sortKey(coord(pos[id], axis)) >> shift & (keyBuckets - 1)
+			dst[counts[b]] = id
+			counts[b]++
+		}
+		src, dst = dst, src
+	}
+	bm.ord[axis], bm.spill = src, dst
+}
+
+// sortKey maps a coordinate to an unsigned key in the same order. Adding
+// +0 turns −0 into +0, so the two zeros share one key and, like under <,
+// tie and fall to the index.
+func sortKey(x float64) uint64 {
+	b := math.Float64bits(x + 0)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// coord is Vec3.Axis for the presort's inner loops, small enough to inline.
+func coord(p geom.Vec3, axis int) float64 {
 	switch axis {
 	case 0:
-		for i, pi := range seg {
-			col[i] = pos[pi].X
-		}
+		return p.X
 	case 1:
-		for i, pi := range seg {
-			col[i] = pos[pi].Y
-		}
-	default:
-		for i, pi := range seg {
-			col[i] = pos[pi].Z
-		}
+		return p.Y
 	}
-}
-
-// cutKey is a particle's selection key: its coordinate along the cut axis and
-// its index, which breaks ties between coincident particles.
-type cutKey struct {
-	x float64
-	i int
-}
-
-// less orders keys by (coordinate, particle index) — a strict total order,
-// so selection is unambiguous even with coincident particles.
-func (a cutKey) less(b cutKey) bool {
-	//lint:allow floatcmp exact comparison is what makes this a strict total order; a tolerance would make selection ambiguous
-	if a.x != b.x {
-		return a.x < b.x
-	}
-	return a.i < b.i
-}
-
-// selectKeys rearranges the aligned pair (col, seg) so the k smallest keys
-// (col[i], seg[i]) occupy the first k positions. Iterative quickselect with
-// median-of-three pivots; deterministic because the key order is total.
-func selectKeys(col []float64, seg []int, k int) {
-	at := func(i int) cutKey { return cutKey{col[i], seg[i]} }
-	swap := func(i, j int) {
-		col[i], col[j] = col[j], col[i]
-		seg[i], seg[j] = seg[j], seg[i]
-	}
-	lo, hi := 0, len(seg) // working window [lo, hi)
-	for hi-lo > 1 {
-		if k <= lo || k >= hi {
-			return
-		}
-		// Median-of-three pivot on the window.
-		pivot := median3(at(lo), at(lo+(hi-lo)/2), at(hi-1))
-		// Three-way partition around the pivot key.
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			switch c := at(i); {
-			case c.less(pivot):
-				swap(lt, i)
-				lt++
-				i++
-			case pivot.less(c):
-				gt--
-				swap(i, gt)
-			default: // equal (total order: only the pivot element itself)
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return // k lands in the equal band: done
-		}
-	}
-}
-
-func median3(a, b, c cutKey) cutKey {
-	if b.less(a) {
-		a, b = b, a
-	}
-	if c.less(b) {
-		b = c
-		if b.less(a) {
-			b = a
-		}
-	}
-	return b
-}
-
-// partitionByValue moves the entries of the aligned pair (col, seg) whose
-// coordinate is < v to the front and returns their count.
-func partitionByValue(col []float64, seg []int, v float64) int {
-	cut := 0
-	for i, x := range col {
-		if x < v {
-			col[cut], col[i] = col[i], col[cut]
-			seg[cut], seg[i] = seg[i], seg[cut]
-			cut++
-		}
-	}
-	return cut
+	return p.Z
 }
 
 var _ Mapper = (*BinMapper)(nil)

@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"slices"
+
 	"picpredict/internal/geom"
 	"picpredict/internal/mesh"
 )
@@ -19,7 +21,7 @@ type GhostSource interface {
 
 	// GhostRanksTile answers the ghost query for a whole tile of spatially
 	// adjacent particles in one batched call. Implementations hoist the
-	// spatial candidate scan (grid cells or bins, grouped by rank) out of
+	// spatial candidate scan (the elements or bins near the tile) out of
 	// the per-particle loop, so one intersection setup serves every
 	// particle in the tile.
 	//
@@ -111,9 +113,9 @@ func (bm *BinMapper) GhostRanks(dst []int, pos geom.Vec3, radius float64, home i
 }
 
 // GhostRanksTile implements GhostSource for bin-based mapping: the
-// candidate bins of the tile's search window are deduplicated and
-// rank-grouped once, then each particle runs an early-exit per-rank
-// intersection test against that rank's bins.
+// candidate bins of the tile's search window are deduplicated once, with
+// their boxes copied beside them, then each particle tests every candidate
+// bin in turn (see binGhostView.GhostRanksTile).
 func (bm *BinMapper) GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
 	if radius <= 0 || len(bm.lastBins) == 0 {
 		for range ids {
@@ -159,18 +161,20 @@ type binGhostView struct {
 	bm   *BinMapper
 	cand []int32
 
-	// Tile-query scratch (GhostRanksTile): epoch-stamped bin dedup and the
-	// current tile's candidate bins.
+	// Tile-query scratch (GhostRanksTile): epoch-stamped bin dedup, the
+	// current tile's candidate bins and their ranks.
 	stamp    []int32
 	epoch    int32
 	tileBins []binCand
+	ranks    []int32
 }
 
-// binCand is one candidate bin of a tile window: its index plus the index
-// cells it is registered in, so the per-particle test can reproduce the
-// scalar path's bucket-window visibility exactly.
+// binCand is one candidate bin of a tile window: its box and rank, stored
+// inline so the per-particle loop reads no Bin, plus the index cells it is
+// registered in, so the per-particle test can reproduce the scalar path's
+// bucket-window visibility exactly.
 type binCand struct {
-	bi                           int32
+	box                          geom.AABB
 	rank                         int32
 	ilo, jlo, klo, ihi, jhi, khi int32
 }
@@ -200,8 +204,12 @@ func (v *binGhostView) GhostRanks(dst []int, pos geom.Vec3, radius float64, home
 // GhostRanksTile implements the GhostSource tile contract against the
 // mapper's current bins: per-particle rank sets are identical to
 // GhostRanks — same candidate visibility (bucket-window overlap), same
-// exact intersection test — with the bucket scan, deduplication and rank
-// grouping hoisted to once per tile.
+// exact intersection test — with the bucket scan and bin deduplication
+// hoisted to once per tile. Each particle walks the tile's candidate bins:
+// the integer window test and the home-rank check first, then the sphere
+// test of AABB.IntersectsSphere written inline. A tile whose candidate bins
+// all belong to different ranks cannot meet a rank twice, so only tiles
+// with a repeated rank scan the particle's ranks so far before appending.
 func (v *binGhostView) GhostRanksTile(flat []int, offs []int32, ids []int32, pos []geom.Vec3, home []int, radius float64) ([]int, []int32) {
 	bins, idx := v.bm.lastBins, v.bm.index
 	if radius <= 0 || len(bins) == 0 || idx == nil || len(ids) == 0 {
@@ -240,7 +248,7 @@ func (v *binGhostView) GhostRanksTile(flat []int, offs []int32, ids []int32, pos
 		ilo, jlo, klo := idx.cellOf(b.Box.Lo)
 		ihi, jhi, khi := idx.cellOf(b.Box.Hi)
 		v.tileBins = append(v.tileBins, binCand{
-			bi: bi, rank: int32(b.Rank),
+			box: b.Box, rank: int32(b.Rank),
 			ilo: int32(ilo), jlo: int32(jlo), klo: int32(klo),
 			ihi: int32(ihi), jhi: int32(jhi), khi: int32(khi),
 		})
@@ -276,10 +284,27 @@ func (v *binGhostView) GhostRanksTile(flat []int, offs []int32, ids []int32, pos
 		}
 	}
 
+	// Ranks repeat only where bins outnumber ranks (the round-robin fold,
+	// Relaxed); there, sort the tile's few candidate ranks to find out.
+	// An array over ranks would do it in one pass but costs R entries per
+	// view.
+	repeats := false
+	if len(bins) > v.bm.NumRanks {
+		v.ranks = v.ranks[:0]
+		for k := range v.tileBins {
+			v.ranks = append(v.ranks, v.tileBins[k].rank)
+		}
+		slices.Sort(v.ranks)
+		for k := 1; k < len(v.ranks) && !repeats; k++ {
+			repeats = v.ranks[k] == v.ranks[k-1]
+		}
+	}
+
 	rv := geom.V(radius, radius, radius)
+	r2 := radius * radius
 	for _, pi := range ids {
 		p := pos[pi]
-		h := home[pi]
+		h := int32(home[pi])
 		pilo, pjlo, pklo := idx.cellOf(p.Sub(rv))
 		pihi, pjhi, pkhi := idx.cellOf(p.Add(rv))
 		start := len(flat)
@@ -291,15 +316,15 @@ func (v *binGhostView) GhostRanksTile(flat []int, offs []int32, ids []int32, pos
 			// exact sphere test runs.
 			if int(c.ihi) < pilo || int(c.ilo) > pihi ||
 				int(c.jhi) < pjlo || int(c.jlo) > pjhi ||
-				int(c.khi) < pklo || int(c.klo) > pkhi {
+				int(c.khi) < pklo || int(c.klo) > pkhi ||
+				c.rank == h {
 				continue
 			}
-			r := int(c.rank)
-			if r == h || containsRank(flat[start:], r) {
-				continue
-			}
-			if bins[c.bi].Box.IntersectsSphere(p, radius) {
-				flat = append(flat, r)
+			d2 := geom.AxisDist2(p.X, c.box.Lo.X, c.box.Hi.X) +
+				geom.AxisDist2(p.Y, c.box.Lo.Y, c.box.Hi.Y) +
+				geom.AxisDist2(p.Z, c.box.Lo.Z, c.box.Hi.Z)
+			if d2 <= r2 && !(repeats && containsRank(flat[start:], int(c.rank))) {
+				flat = append(flat, int(c.rank))
 			}
 		}
 		offs = append(offs, int32(len(flat)))

@@ -9,13 +9,14 @@ import (
 )
 
 // oracleAssign is the reference bin mapping: the same breadth-first planar
-// cut as BinMapper.Assign, but every cut compares particles through pos by
-// index (keyLess) instead of on a gathered coordinate column. It returns
-// the per-particle ranks and the bins.
-func oracleAssign(bm *BinMapper, pos []geom.Vec3) ([]int, []Bin) {
+// cut as BinMapper.Assign, but every cut runs a quickselect (or midpoint
+// partition) through pos by index (keyLess) and rebuilds both child boxes
+// by folding their particles, instead of reading presorted windows. It
+// returns the per-particle ranks, the bins and each bin's particles.
+func oracleAssign(bm *BinMapper, pos []geom.Vec3) ([]int, []Bin, [][]int) {
 	dst := make([]int, len(pos))
 	if len(pos) == 0 {
-		return dst, nil
+		return dst, nil, nil
 	}
 	perm := make([]int, len(pos))
 	for i := range perm {
@@ -26,8 +27,8 @@ func oracleAssign(bm *BinMapper, pos []geom.Vec3) ([]int, []Bin) {
 		maxBins = len(pos)
 	}
 	seq := 0
-	var done []binRange
-	queue := []binRange{{lo: 0, hi: len(pos), box: geom.BoundingBox(pos), seq: seq}}
+	var done []oracleRange
+	queue := []oracleRange{{lo: 0, hi: len(pos), box: geom.BoundingBox(pos), seq: seq}}
 	head := 0
 	levelEnd := len(queue)
 	for head < len(queue) {
@@ -53,19 +54,29 @@ func oracleAssign(bm *BinMapper, pos []geom.Vec3) ([]int, []Bin) {
 	bins := append(done, queue[head:]...)
 	sort.Slice(bins, func(a, b int) bool { return bins[a].seq < bins[b].seq })
 	var out []Bin
+	var members [][]int
 	for i, b := range bins {
 		rank := i % bm.NumRanks
 		for _, pi := range perm[b.lo:b.hi] {
 			dst[pi] = rank
 		}
 		out = append(out, Bin{Box: b.box, Count: b.hi - b.lo, Rank: rank})
+		members = append(members, perm[b.lo:b.hi])
 	}
-	return dst, out
+	return dst, out, members
+}
+
+// oracleRange is a work-queue item of oracleAssign: a contiguous range of
+// its permutation plus the range's box and creation order.
+type oracleRange struct {
+	lo, hi int // perm[lo:hi]
+	box    geom.AABB
+	seq    int // creation order, for deterministic output ordering
 }
 
 // oracleSplit is the cut of oracleAssign: selection and midpoint
 // partition both read each particle's coordinate through perm.
-func oracleSplit(policy SplitPolicy, b binRange, pos []geom.Vec3, perm []int) (binRange, binRange) {
+func oracleSplit(policy SplitPolicy, b oracleRange, pos []geom.Vec3, perm []int) (oracleRange, oracleRange) {
 	axis := b.box.LongestAxis()
 	seg := perm[b.lo:b.hi]
 	var cut int
@@ -86,12 +97,12 @@ func oracleSplit(policy SplitPolicy, b binRange, pos []geom.Vec3, perm []int) (b
 		cut = len(seg) / 2
 		selectK(seg, pos, axis, cut)
 	}
-	mkRange := func(lo, hi int) binRange {
+	mkRange := func(lo, hi int) oracleRange {
 		box := geom.EmptyBox()
 		for _, pi := range perm[lo:hi] {
 			box = box.Extend(pos[pi])
 		}
-		return binRange{lo: lo, hi: hi, box: box}
+		return oracleRange{lo: lo, hi: hi, box: box}
 	}
 	return mkRange(b.lo, b.lo+cut), mkRange(b.lo+cut, b.hi)
 }

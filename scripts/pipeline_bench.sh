@@ -33,7 +33,8 @@
 #             rebalance epoch — one recursive coordinate bisection of the
 #             128x128 and 465x465 meshes onto R = 8352 ranks, static and
 #             weighted, and one median-cut bin assignment of a
-#             50,000-particle frame onto 1024 ranks.
+#             50,000-particle frame onto 1024 ranks and of the
+#             599,257-particle paper-scale disc onto 8352 ranks.
 #
 # The headline ratios are speedup.fill_bin / speedup.fill_element (tiled
 # fill over the flat oracle fill at paper scale),
@@ -101,8 +102,8 @@ go test -run '^$' -bench 'SolverStepHeleShaw$|Project$' -benchtime 1s ./internal
 echo "== build (mesh bisection and bin assignment per build)"
 go test -run '^$' -bench 'Decompose' -benchmem -benchtime "$BENCHTIME" ./internal/mesh/ \
     | tee "$workdir/build.txt" || fail "decompose benchmarks failed"
-go test -run '^$' -bench 'BinAssignMedian' -benchtime "$BENCHTIME" ./internal/mapping/ \
-    | tee -a "$workdir/build.txt" || fail "bin assignment benchmark failed"
+go test -run '^$' -bench 'BinAssignMedian|BinAssignPaper' -benchtime "$BENCHTIME" ./internal/mapping/ \
+    | tee -a "$workdir/build.txt" || fail "bin assignment benchmarks failed"
 
 echo "== write $OUT"
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
@@ -255,6 +256,7 @@ for mesh_side in ("128x128", "465x465"):
 doc["build"] = {
     "decompose_ms": decomp,
     "bin_assign_ms": ms(build, "BinAssignMedian", 2),
+    "bin_assign_paper_ms": ms(build, "BinAssignPaper", 2),
 }
 f = doc["fill_ms_per_frame"]
 sw = doc["sweep_configs_per_s"]
@@ -283,7 +285,8 @@ print(f"   sweep       : {sw['naive']:.3f} -> {sw['shared_build']:.3f} configs/s
       f"({doc['speedup']['sweep_shared_build']}x)")
 for case, v in decomp.items():
     print(f"   decompose {case:<17}: {v:.2f} ms")
-print(f"   bin assign  : {doc['build']['bin_assign_ms']:.2f} ms/frame")
+print(f"   bin assign  : {doc['build']['bin_assign_ms']:.2f} ms/frame, "
+      f"paper scale {doc['build']['bin_assign_paper_ms']:.2f} ms/frame")
 print(f"   train       : fast {doc['train']['fast_ms']:.0f} ms, full {doc['train']['full_ms']:.0f} ms")
 print(f"   calibrate   : {calib['tree']:.2f} -> {calib['compiled']:.2f} ms/population "
       f"({doc['speedup']['calibrate']}x)")
